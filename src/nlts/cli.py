@@ -120,7 +120,10 @@ def _load_rep(path, base):
 
 def _weight(args, file_weight):
     if args.weight is not None:
-        return parse_rational(args.weight)
+        try:
+            return parse_rational(args.weight)
+        except ValueError as exc:
+            raise InputError("bad --weight value: %s" % exc) from exc
     if file_weight is not None:
         return file_weight
     return 0

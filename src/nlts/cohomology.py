@@ -42,7 +42,7 @@ from .linalg import (
 )
 from .lts import Report
 from .nrep import _check_fiber_operator, deformed_theta
-from .operators import _check_operator, _deformed_parts
+from .operators import _check_operator, telescoped_brackets
 
 _W3_CACHE = {}
 
@@ -182,16 +182,10 @@ class Complex:
                   for i in range(n) for j in range(n)}
         self.thetaN = deformed_theta(rep, self.N, self.Nv)
         self.DN = {(i, j): self._dn(i, j) for i in range(n) for j in range(n)}
-        e = [system.basis_vector(i) for i in range(n)]
-        self.p2 = {}
-        self.p1 = {}
-        self.p0 = {}
-        for t in itertools.product(range(n), repeat=3):
-            a2, a1, a0 = _deformed_parts(system, e[t[0]], e[t[1]], e[t[2]],
-                                         self.N)
-            self.p0[t] = a0
-            self.p1[t] = vsub(a1, matvec(self.N, a0))
-            self.p2[t] = vsub(a2, matvec(self.N, vsub(a1, matvec(self.N, a0))))
+        parts = telescoped_brackets(system, self.N)
+        self.p0 = {t: p0 for t, (_, p0, _, _) in parts.items()}
+        self.p1 = {t: p1 for t, (_, _, p1, _) in parts.items()}
+        self.p2 = {t: p2 for t, (_, _, _, p2) in parts.items()}
         self._dcols = {}
         self._rank = {}
 

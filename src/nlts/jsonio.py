@@ -47,6 +47,11 @@ def _scalar(value, where):
         raise InputError("bad rational %r in %s" % (value, where)) from exc
 
 
+def _is_index(a):
+    """JSON integers only: ``true`` and ``false`` are not indices."""
+    return isinstance(a, int) and not isinstance(a, bool)
+
+
 def _matrix_out(M):
     return [[format_rational(x) for x in row] for row in M]
 
@@ -100,7 +105,7 @@ def _entries_in(obj, shape, outdim, where):
             raise InputError('%s must be {"args": [...], "out": {...}}' % label)
         args = entry["args"]
         if (not isinstance(args, list) or len(args) != len(shape)
-                or not all(isinstance(a, int) for a in args)):
+                or not all(_is_index(a) for a in args)):
             raise InputError("%s args must list %d indices" % (label, len(shape)))
         key = tuple(args)
         for a, s in zip(key, shape):
@@ -136,7 +141,7 @@ def system_from_obj(obj, where="system"):
             key = (entry["i"], entry["j"], entry["k"])
         except KeyError as exc:
             raise InputError("%s needs i, j, k" % label) from exc
-        if not all(isinstance(a, int) and 0 <= a < dim for a in key):
+        if not all(_is_index(a) and 0 <= a < dim for a in key):
             raise InputError("%s indices out of range" % label)
         table[key] = _vec_in(entry.get("out", {}), dim, label)
     try:

@@ -15,22 +15,21 @@ from math import gcd
 Rational = Fraction
 
 
-def ratio(p, q=1):
-    """Exact rational scalar p/q."""
-    return Fraction(p, q)
-
-
 def parse_rational(s):
-    """Parse "p/q" or "p" (also accepts ints) into an exact scalar."""
-    if isinstance(s, int):
-        return s
-    if isinstance(s, Fraction):
+    """Parse "p/q" or "p" (also accepts ints) into an exact scalar.
+
+    Raises ValueError on anything else, including booleans and a zero
+    denominator.
+    """
+    if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
         return s
     if not isinstance(s, str):
         raise ValueError("expected a rational string like '3/2', got %r" % (s,))
     text = s.strip()
     if "/" in text:
         num, _, den = text.partition("/")
+        if int(den) == 0:
+            raise ValueError("zero denominator in %r" % (s,))
         value = Fraction(int(num), int(den))
     else:
         value = Fraction(int(text))
@@ -110,16 +109,6 @@ def matscale(c, A):
 
 def mat_iszero(A):
     return all(viszero(row) for row in A)
-
-
-def transpose(A):
-    return tuple(zip(*A))
-
-
-def mat_eq(A, B):
-    return all(
-        all(a == b for a, b in zip(r, s)) for r, s in zip(A, B)
-    ) and len(A) == len(B)
 
 
 # ---------------------------------------------------------------------------

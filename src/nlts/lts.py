@@ -195,9 +195,6 @@ class Representation:
         """D(e_i, e_j) = theta(e_j, e_i) - theta(e_i, e_j)."""
         return matsub(self.theta[(j, i)], self.theta[(i, j)])
 
-    def D_vecs(self, x, y):
-        return matsub(self.theta_vecs(y, x), self.theta_vecs(x, y))
-
 
 def trivial_rep(system, vdim=1):
     """The zero action on a vdim-dimensional space."""
@@ -219,11 +216,57 @@ def adjoint_rep(system):
 
 
 # ---------------------------------------------------------------------------
+# sparse contractions of structure tables
+
+def apply_in_slot(table, M, slot):
+    """A sparse table with the matrix M applied in one input slot.
+
+    ``table`` maps index tuples to coordinate vectors (missing keys are
+    zero).  The result maps each tuple to the value at it with the basis
+    vector in position ``slot`` replaced by its image under M, that is
+    sum_a M[a][key[slot]] * table[key with a in position slot].  Only the
+    nonzero entries of the table and of M are visited; a value that
+    cancels to zero may stay in the result.
+    """
+    row_support = [[(i, c) for i, c in enumerate(row) if c] for row in M]
+    out = {}
+    for key, w in table.items():
+        head, tail = key[:slot], key[slot + 1:]
+        for i, c in row_support[key[slot]]:
+            k = head + (i,) + tail
+            acc = out.get(k)
+            if acc is None:
+                out[k] = [c * x if x else x for x in w]
+            else:
+                for t, x in enumerate(w):
+                    if x:
+                        acc[t] += c * x
+    return {k: tuple(v) for k, v in out.items()}
+
+
+def add_tables(*tables):
+    """Keywise sum of sparse tables (missing keys are zero)."""
+    out = {}
+    for table in tables:
+        for k, w in table.items():
+            acc = out.get(k)
+            out[k] = w if acc is None else vadd(acc, w)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # axiom checks
 
 def check_lts(system):
-    """Verify the three defining axioms; witnesses name the failing triple."""
+    """Verify the three defining axioms; witnesses name the failing triple.
+
+    The five-term identity says that each left multiplication
+    L = [e_i1, e_i2, .] is a derivation of the bracket.  It is checked for
+    every pair (i1, i2) with L nonzero by contracting L with the table:
+    L applied to each value against L applied in each input slot.
+    """
     n = system.dim
+    T = system.table
     violations = []
     for i, j, k in itertools.product(range(n), repeat=3):
         v = vadd(system.coeff(i, j, k), system.coeff(j, i, k))
@@ -242,21 +285,23 @@ def check_lts(system):
                 "at": (i, j, k),
                 "value": v,
             })
-    e = [system.basis_vector(t) for t in range(n)]
-    for idx in itertools.product(range(n), repeat=5):
-        i1, i2, i3, i4, i5 = idx
-        lhs = system.bracket(e[i1], e[i2], system.coeff(i3, i4, i5))
-        rhs = vadd(
-            vadd(system.bracket(system.coeff(i1, i2, i3), e[i4], e[i5]),
-                 system.bracket(e[i3], system.coeff(i1, i2, i4), e[i5])),
-            system.bracket(e[i3], e[i4], system.coeff(i1, i2, i5)))
-        if lhs != rhs:
-            violations.append({
-                "axiom": "five-term",
-                "at": idx,
-                "lhs": lhs,
-                "rhs": rhs,
-            })
+    zero = vzero(n)
+    for i1, i2 in itertools.product(range(n), repeat=2):
+        cols = [system.coeff(i1, i2, t) for t in range(n)]
+        L = tuple(tuple(col[r] for col in cols) for r in range(n))
+        if mat_iszero(L):
+            continue
+        lhs = {key: matvec(L, w) for key, w in T.items()}
+        rhs = add_tables(*(apply_in_slot(T, L, s) for s in range(3)))
+        for key in sorted(lhs.keys() | rhs.keys()):
+            a, b = lhs.get(key, zero), rhs.get(key, zero)
+            if a != b:
+                violations.append({
+                    "axiom": "five-term",
+                    "at": (i1, i2) + key,
+                    "lhs": a,
+                    "rhs": b,
+                })
     return Report(not violations, violations)
 
 

@@ -13,20 +13,19 @@ N a morphism from it to the original one.
 """
 
 import itertools
-import os
 
 from .linalg import (
     ident,
     matadd,
     mat_iszero,
     matscale,
-    matsub,
     matvec,
     vadd,
     vscale,
     vsub,
+    vzero,
 )
-from .lts import LieTripleSystem, Report, check_lts
+from .lts import LieTripleSystem, Report, add_tables, apply_in_slot, check_lts
 
 
 class BudgetExceeded(ValueError):
@@ -40,34 +39,70 @@ def _check_operator(system, N):
     return tuple(tuple(row) for row in N)
 
 
-def _deformed_parts(system, x, y, z, N):
-    """The three graded sums entering the Nijenhuis identity.
+def graded_brackets(system, N):
+    """The basis brackets graded by how many arguments N transforms.
 
-    Returns (a2, a1, a0): bracket terms with two, one, and no arguments
-    transformed by N.
+    Returns sparse tables (A0, A1, A2, A3) over basis triples (missing
+    keys are zero): A_d[(i,j,k)] is the sum, over the ways of choosing d
+    of the three slots, of the bracket of e_i, e_j, e_k with N applied in
+    the chosen slots.  So A0 is the structure table, A1 at (i,j,k) is
+    [Ne_i,e_j,e_k] + [e_i,Ne_j,e_k] + [e_i,e_j,Ne_k], and A3 is
+    [Ne_i,Ne_j,Ne_k].  Each table is a chain of sparse contractions of the
+    structure table with N, one input slot at a time.
     """
-    Nx, Ny, Nz = matvec(N, x), matvec(N, y), matvec(N, z)
-    a2 = vadd(vadd(system.bracket(Nx, Ny, z), system.bracket(x, Ny, Nz)),
-              system.bracket(Nx, y, Nz))
-    a1 = vadd(vadd(system.bracket(Nx, y, z), system.bracket(x, Ny, z)),
-              system.bracket(x, y, Nz))
-    a0 = system.bracket(x, y, z)
-    return a2, a1, a0
+    T = system.table
+    T1, T2, T3 = (apply_in_slot(T, N, s) for s in range(3))
+    T12 = apply_in_slot(T1, N, 1)
+    A2 = add_tables(T12, apply_in_slot(T1, N, 2), apply_in_slot(T2, N, 2))
+    return T, add_tables(T1, T2, T3), A2, apply_in_slot(T12, N, 2)
+
+
+def telescoped_brackets(system, N):
+    """The deformed bracket and its parts on every basis triple.
+
+    Returns {(i,j,k): (a3, p0, p1, p2)} in basis-triple order, with
+    p0 = A0, p1 = A1 - N p0 and p2 = A2 - N p1 = [e_i,e_j,e_k]_N (see
+    ``graded_brackets``) and a3 = A3 = [Ne_i,Ne_j,Ne_k].  The Nijenhuis
+    identity reads a3 = N p2.  All four are zero, and not computed, on a
+    triple where every A_d is.
+    """
+    n = system.dim
+    A0, A1, A2, A3 = graded_brackets(system, N)
+    zero = vzero(n)
+    out = dict.fromkeys(itertools.product(range(n), repeat=3), (zero,) * 4)
+    for t in A0.keys() | A1.keys() | A2.keys() | A3.keys():
+        p0 = A0.get(t, zero)
+        p1 = vsub(A1.get(t, zero), matvec(N, p0))
+        out[t] = (A3.get(t, zero), p0, p1, vsub(A2.get(t, zero), matvec(N, p1)))
+    return out
+
+
+def _graded_witnesses(system, R, rhs_of):
+    """Basis triples where [Rx,Ry,Rz] differs from rhs_of(A2, A1, A0).
+
+    ``rhs_of`` must vanish on zero vectors, so triples where every A_d is
+    zero are skipped.
+    """
+    n = system.dim
+    A0, A1, A2, A3 = graded_brackets(system, R)
+    zero = vzero(n)
+    out = []
+    for t in sorted(A0.keys() | A1.keys() | A2.keys() | A3.keys()):
+        lhs = A3.get(t, zero)
+        rhs = rhs_of(A2.get(t, zero), A1.get(t, zero), A0.get(t, zero))
+        if lhs != rhs:
+            out.append((t, lhs, rhs))
+    return out
 
 
 def nijenhuis_defect(system, N):
     """Nonzero witnesses of [Nx,Ny,Nz] - N([x,y,z]_N) over basis triples."""
-    n = system.dim
     N = _check_operator(system, N)
-    e = [system.basis_vector(i) for i in range(n)]
     out = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        x, y, z = e[i], e[j], e[k]
-        lhs = system.bracket(matvec(N, x), matvec(N, y), matvec(N, z))
-        a2, a1, a0 = _deformed_parts(system, x, y, z, N)
-        rhs = matvec(N, vsub(a2, matvec(N, vsub(a1, matvec(N, a0)))))
+    for t, (lhs, _, _, p2) in telescoped_brackets(system, N).items():
+        rhs = matvec(N, p2)
         if lhs != rhs:
-            out.append(((i, j, k), lhs, rhs))
+            out.append((t, lhs, rhs))
     return out
 
 
@@ -82,38 +117,30 @@ def is_nijenhuis(system, N):
 
 def is_rota_baxter(system, R, weight=0):
     """Rota-Baxter identity of the given weight, checked on basis triples."""
-    n = system.dim
     R = _check_operator(system, R)
     lam = weight
-    e = [system.basis_vector(i) for i in range(n)]
-    violations = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        x, y, z = e[i], e[j], e[k]
-        lhs = system.bracket(matvec(R, x), matvec(R, y), matvec(R, z))
-        a2, a1, a0 = _deformed_parts(system, x, y, z, R)
+
+    def rhs(a2, a1, a0):
         s = vadd(vadd(a2, vscale(lam, a1)), vscale(lam * lam, a0))
-        rhs = matvec(R, s)
-        if lhs != rhs:
-            violations.append({"identity": "rota-baxter", "weight": lam,
-                               "at": (i, j, k), "lhs": lhs, "rhs": rhs})
+        return matvec(R, s)
+
+    violations = [{"identity": "rota-baxter", "weight": lam,
+                   "at": t, "lhs": lhs, "rhs": r}
+                  for t, lhs, r in _graded_witnesses(system, R, rhs)]
     return Report(not violations, violations)
 
 
 def is_modified_rb(system, R, weight=0):
     """Modified Rota-Baxter identity of the given weight on basis triples."""
-    n = system.dim
     R = _check_operator(system, R)
     lam = weight
-    e = [system.basis_vector(i) for i in range(n)]
-    violations = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        x, y, z = e[i], e[j], e[k]
-        lhs = system.bracket(matvec(R, x), matvec(R, y), matvec(R, z))
-        a2, a1, a0 = _deformed_parts(system, x, y, z, R)
-        rhs = vadd(matvec(R, vsub(a2, vscale(lam, a0))), vscale(lam, a1))
-        if lhs != rhs:
-            violations.append({"identity": "modified-rota-baxter", "weight": lam,
-                               "at": (i, j, k), "lhs": lhs, "rhs": rhs})
+
+    def rhs(a2, a1, a0):
+        return vadd(matvec(R, vsub(a2, vscale(lam, a0))), vscale(lam, a1))
+
+    violations = [{"identity": "modified-rota-baxter", "weight": lam,
+                   "at": t, "lhs": lhs, "rhs": r}
+                  for t, lhs, r in _graded_witnesses(system, R, rhs)]
     return Report(not violations, violations)
 
 
@@ -138,14 +165,9 @@ def induced_bracket(system, N):
     deformed structure constants satisfy the triple-system axioms; its
     verdict is the conjunction of the two.
     """
-    n = system.dim
     N = _check_operator(system, N)
-    e = [system.basis_vector(i) for i in range(n)]
-    table = {}
-    for i, j, k in itertools.product(range(n), repeat=3):
-        a2, a1, a0 = _deformed_parts(system, e[i], e[j], e[k], N)
-        table[(i, j, k)] = vsub(a2, matvec(N, vsub(a1, matvec(N, a0))))
-    deformed = LieTripleSystem(n, table)
+    table = {t: p2 for t, (_, _, _, p2) in telescoped_brackets(system, N).items()}
+    deformed = LieTripleSystem(system.dim, table)
     nij = is_nijenhuis(system, N)
     axioms = check_lts(deformed)
     warnings = []
@@ -226,35 +248,81 @@ def classify_by_square(system, N):
     return Report(nij.ok, nij.violations, [], data)
 
 
-def _worker_count():
-    raw = os.environ.get("NLTS_THREADS", "")
-    try:
-        count = int(raw)
-    except ValueError:
-        return 1
-    return max(count, 1)
+class _Poly(dict):
+    """A polynomial {sorted tuple of variable indices: coefficient}.
+
+    It has just the arithmetic the identity checks use, so they can run
+    on an operator whose entries are variables.  Zero coefficients are
+    never stored, so the zero polynomial is the empty dict and is falsy.
+    """
+
+    def _put(self, m, c):
+        c += self.get(m, 0)
+        if c:
+            self[m] = c
+        else:
+            self.pop(m, None)
+
+    def __add__(self, other, sign=1):
+        out = _Poly(self)
+        for m, c in _terms(other):
+            out._put(m, sign * c)
+        return out
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __rsub__(self, other):
+        return -1 * self + other
+
+    def __mul__(self, other):
+        out = _Poly()
+        for m2, c2 in _terms(other):
+            for m1, c1 in self.items():
+                out._put(tuple(sorted(m1 + m2)), c1 * c2)
+        return out
+
+    __rmul__ = __mul__
 
 
-def _scan_chunk(system, n, values, first_entries):
-    found = []
-    for head in first_entries:
-        for rest in itertools.product(values, repeat=n * n - 1):
-            entries = (head,) + rest
-            N = tuple(tuple(entries[r * n + c] for c in range(n))
-                      for r in range(n))
-            if not nijenhuis_defect(system, N):
-                found.append(N)
-    return found
+def _terms(x):
+    if isinstance(x, _Poly):
+        return x.items()
+    return (((), x),) if x else ()
+
+
+def _defect_polynomials(system):
+    """The Nijenhuis defect as polynomials in the entries of N.
+
+    The defect [Nx,Ny,Nz] - N[x,y,z]_N is computed by the same
+    contractions as ``nijenhuis_defect``, on the operator whose entry
+    N[r][c] is the variable r*n + c.  Every term is cubic.  Returns one
+    polynomial per component of the defect (basis triple and output
+    coordinate) that is not identically zero.
+    """
+    n = system.dim
+    N = tuple(tuple(_Poly({(r * n + c,): 1}) for c in range(n))
+              for r in range(n))
+    return [d for a3, _, _, p2 in telescoped_brackets(system, N).values()
+            for d in vsub(a3, matvec(N, p2)) if d]
 
 
 def grid_search_nijenhuis(system, values, budget=1_000_000):
     """All Nijenhuis matrices with entries drawn from ``values``.
 
-    Entries are enumerated row-major in ascending value order, so the
-    result list is deterministic and lexicographically sorted.  Raises
-    BudgetExceeded when the grid holds more than ``budget`` candidate
-    matrices.  The environment variable NLTS_THREADS caps the number of
-    worker threads used to partition the scan (default 1).
+    Raises BudgetExceeded when the grid holds more than ``budget``
+    candidate matrices; that check comes before any other work.  The
+    Nijenhuis defect is then expanded once, by running the identity check
+    on a symbolic operator, into cubic polynomials in the n^2 entries
+    (variable r*n + c is N[r][c]); identically zero components are
+    dropped.  The search assigns the entries row-major, each in ascending
+    value order, and abandons a partial assignment as soon as a defect
+    component whose variables are all assigned evaluates to nonzero.
+    Arithmetic is exact, so the result holds exactly the Nijenhuis
+    matrices of the grid, and the assignment order makes the list
+    deterministic and lexicographically sorted by the row-major entries.
     """
     n = system.dim
     values = sorted(set(values))
@@ -266,15 +334,24 @@ def grid_search_nijenhuis(system, values, budget=1_000_000):
             "grid of %d candidate matrices exceeds budget %d" % (total, budget))
     if n == 0:
         return [()]
-    workers = _worker_count()
-    if workers <= 1 or len(values) < 2:
-        return _scan_chunk(system, n, values, values)
-    from concurrent.futures import ThreadPoolExecutor
-    chunks = [values[i::workers] for i in range(workers)]
-    chunks = [c for c in chunks if c]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        results = list(pool.map(
-            lambda c: _scan_chunk(system, n, values, c), chunks))
-    merged = [N for part in results for N in part]
-    merged.sort(key=lambda N: tuple(x for row in N for x in row))
-    return merged
+    # checks[v]: the components whose last variable is v, as (c, a, b, d) terms
+    checks = [[] for _ in range(n * n)]
+    for poly in _defect_polynomials(system):
+        terms = tuple((c,) + m for m, c in poly.items())
+        checks[max(m[2] for m in poly)].append(terms)
+    found = []
+    _extend(0, [None] * (n * n), values, checks, found)
+    return [tuple(e[r * n:(r + 1) * n] for r in range(n)) for e in found]
+
+
+def _extend(v, x, values, checks, found):
+    """Depth-first step of the grid search: try each value for entry v."""
+    for value in values:
+        x[v] = value
+        if any(sum(c * x[a] * x[b] * x[d] for c, a, b, d in terms)
+               for terms in checks[v]):
+            continue
+        if v + 1 < len(x):
+            _extend(v + 1, x, values, checks, found)
+        else:
+            found.append(tuple(x))

@@ -41,7 +41,7 @@ from .linalg import (
 )
 from .lts import LieTripleSystem, Report, Representation
 from .cohomology import Complex, normalize_cochain, zero_cochain
-from .operators import nijenhuis_defect, _deformed_parts, _check_operator
+from .operators import nijenhuis_defect, telescoped_brackets, _check_operator
 
 
 def _freeze_tensor(table, shape, outdim, name):
@@ -374,12 +374,8 @@ def check_nijenhuis_2system(sys2, nstr):
     # (d): the base Nijenhuis defect is -h(N2)
     base = s.base_system()
     e0 = [base.basis_vector(i) for i in range(n0)]
-    for t in itertools.product(range(n0), repeat=3):
-        x, y, z = e0[t[0]], e0[t[1]], e0[t[2]]
-        a2, a1, a0 = _deformed_parts(base, x, y, z, N0)
-        p2 = vsub(a2, matvec(N0, vsub(a1, matvec(N0, a0))))
-        lhs = vsub(base.bracket(matvec(N0, x), matvec(N0, y), matvec(N0, z)),
-                   matvec(N0, p2))
+    for t, (a3, _, _, p2) in telescoped_brackets(base, N0).items():
+        lhs = vsub(a3, matvec(N0, p2))
         rhs = vscale(-1, matvec(s.h, N2[t]))
         if lhs != rhs:
             bad("base-defect", t, lhs, rhs)
@@ -476,10 +472,10 @@ def _expanded_five_condition_agrees(sys2, nstr, cx, semantic_second):
     N0, N1, N2 = nstr.N0, nstr.N1, nstr.N2
     base = s.base_system()
     e0 = [base.basis_vector(i) for i in range(n0)]
+    parts = telescoped_brackets(base, N0)
 
     def p2(i, j, k):
-        a2, a1, a0 = _deformed_parts(base, e0[i], e0[j], e0[k], N0)
-        return vsub(a2, matvec(N0, vsub(a1, matvec(N0, a0))))
+        return parts[(i, j, k)][3]
 
     def n2v(x, y, z):
         return s._ev(nstr.N2, (n0, n0, n0), (x, y, z))

@@ -147,13 +147,9 @@ def bracket_vecs(n, br, x, y, z):
     return tuple(acc)
 
 
-def check_lts_axioms(n, br):
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if not viszero(vadd(br[(i, j, k)], br[(j, i, k)])):
-            return False
-        cyc = vadd(vadd(br[(i, j, k)], br[(j, k, i)]), br[(k, i, j)])
-        if not viszero(cyc):
-            return False
+def five_term_defect(n, br):
+    """Five-term witnesses (5-tuple, lhs, rhs) in basis 5-tuple order."""
+    out = []
     for t in itertools.product(range(n), repeat=5):
         x1, x2, x3, x4, x5 = (basis(n, i) for i in t)
         lhs = bracket_vecs(n, br, x1, x2, bracket_vecs(n, br, x3, x4, x5))
@@ -163,8 +159,18 @@ def check_lts_axioms(n, br):
                 bracket_vecs(n, br, x3, bracket_vecs(n, br, x1, x2, x4), x5)),
             bracket_vecs(n, br, x3, x4, bracket_vecs(n, br, x1, x2, x5)))
         if lhs != rhs:
+            out.append((t, lhs, rhs))
+    return out
+
+
+def check_lts_axioms(n, br):
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if not viszero(vadd(br[(i, j, k)], br[(j, i, k)])):
             return False
-    return True
+        cyc = vadd(vadd(br[(i, j, k)], br[(j, k, i)]), br[(k, i, j)])
+        if not viszero(cyc):
+            return False
+    return not five_term_defect(n, br)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +221,9 @@ def induced_bracket(n, br, N):
     return out
 
 
-def is_rb(n, br, R, lam):
+def rb_defect(n, br, R, lam):
+    """Rota-Baxter witnesses ((i, j, k), lhs, rhs) over basis triples."""
+    out = []
     for i, j, k in itertools.product(range(n), repeat=3):
         x, y, z = basis(n, i), basis(n, j), basis(n, k)
         Rx, Ry, Rz = matvec(R, x), matvec(R, y), matvec(R, z)
@@ -229,12 +237,19 @@ def is_rb(n, br, R, lam):
                  bracket_vecs(n, br, x, Ry, z)),
             bracket_vecs(n, br, x, y, Rz))))
         s = vadd(s, vscale(lam * lam, bracket_vecs(n, br, x, y, z)))
-        if lhs != matvec(R, s):
-            return False
-    return True
+        rhs = matvec(R, s)
+        if lhs != rhs:
+            out.append(((i, j, k), lhs, rhs))
+    return out
 
 
-def is_mrb(n, br, R, lam):
+def is_rb(n, br, R, lam):
+    return not rb_defect(n, br, R, lam)
+
+
+def mrb_defect(n, br, R, lam):
+    """Modified Rota-Baxter witnesses ((i, j, k), lhs, rhs) over basis triples."""
+    out = []
     for i, j, k in itertools.product(range(n), repeat=3):
         x, y, z = basis(n, i), basis(n, j), basis(n, k)
         Rx, Ry, Rz = matvec(R, x), matvec(R, y), matvec(R, z)
@@ -250,8 +265,12 @@ def is_mrb(n, br, R, lam):
                  bracket_vecs(n, br, x, Ry, z)),
             bracket_vecs(n, br, x, y, Rz))))
         if lhs != rhs:
-            return False
-    return True
+            out.append(((i, j, k), lhs, rhs))
+    return out
+
+
+def is_mrb(n, br, R, lam):
+    return not mrb_defect(n, br, R, lam)
 
 
 # ---------------------------------------------------------------------------

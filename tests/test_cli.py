@@ -118,6 +118,43 @@ def test_search_budget_and_bad_grid(corpus, capsys):
     assert run(["search", path(corpus, "L2.json"), "--grid", "a,b"]) == 2
 
 
+HOSTILE = {
+    "zero denominator in a matrix": (
+        ["check-nijenhuis", "L2.json", "@op"],
+        {"dim": 2, "matrix": [["1/0", "0"], ["0", "1"]]}),
+    "zero denominator weight": (
+        ["check-rb", "L2.json", "rb0N.json", "--weight", "1/0"], None),
+    "non-numeric weight": (
+        ["check-mrb", "L2.json", "projN.json", "--weight", "abc"], None),
+    "zero denominator in the grid": (
+        ["search", "L2.json", "--grid=1/0,1"], None),
+    "boolean scalar": (
+        ["check-nijenhuis", "L2.json", "@op"],
+        {"dim": 2, "matrix": [[True, "0"], ["0", "1"]]}),
+    "boolean cochain index": (
+        ["cocycle-check", "L2.json", "N01.json", "adjL2.json", "@op"],
+        {"degree": 3,
+         "f": {"degree": 3, "entries": [{"args": [0, True, 0], "out": {"1": "1"}}]},
+         "g": {"degree": 1, "entries": []}}),
+    "boolean bracket index": (
+        ["check-lts", "@op"],
+        {"dim": 2, "bracket": [{"i": False, "j": 1, "k": 1, "out": {"0": "1"}}]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_exits_2(case, corpus, tmp_path, capsys):
+    argv, payload = HOSTILE[case]
+    if payload is not None:
+        (tmp_path / "payload.json").write_text(json.dumps(payload))
+    argv = [str(tmp_path / "payload.json") if a == "@op"
+            else path(corpus, a) if a.endswith(".json") else a
+            for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_representation_commands(corpus, capsys):
     assert run(["check-rep", path(corpus, "L2.json"),
                 path(corpus, "adjL2.json")]) == 0

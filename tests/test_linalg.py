@@ -76,8 +76,9 @@ def test_parse_and_format_rational():
     assert format_rational(Fraction(4, 2)) == "2"
     assert format_rational(-5) == "-5"
     assert parse_rational(format_rational(Fraction(-7, 3))) == Fraction(-7, 3)
-    with pytest.raises(ValueError):
-        parse_rational("a/b")
+    for bad in ("a/b", "1/0", "-3/0", True, False):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
 
 
 small_int = st.integers(min_value=-6, max_value=6)

@@ -1,15 +1,19 @@
 """Operator identities: Nijenhuis, Rota-Baxter variants, deformed
 brackets, square-shape classification, and the grid search."""
 
-import os
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
 from nlts import (
     BudgetExceeded,
+    LieTripleSystem,
+    abelian,
     check_lts,
     classify_by_square,
     direct_sum,
@@ -215,7 +219,6 @@ def test_grid_search_matches_brute_force_on_solv3():
     n, br = ref.mk_solv3_lts()
     found = grid_search_nijenhuis(system, (0, 1))
     expected = []
-    import itertools
     for bits in itertools.product((0, 1), repeat=9):
         N = (tuple(bits[0:3]), tuple(bits[3:6]), tuple(bits[6:9]))
         if ref.is_nijenhuis(3, br, N):
@@ -224,21 +227,118 @@ def test_grid_search_matches_brute_force_on_solv3():
     assert SOLV3_N in found
 
 
+def test_grid_search_every_operator_on_solv3():
+    """All 3^9 matrices of the {-1, 0, 1} grid, in row-major order.
+
+    The count is backed by a symbolic step: with symbolic entries every
+    component of the oracle's Nijenhuis defect on solv3 expands to zero.
+    """
+    n, br = ref.mk_solv3_lts()
+    x = sympy.symbols("x0:9")
+    symbolic = tuple(tuple(x[3 * r:3 * r + 3]) for r in range(3))
+    for _, lhs, rhs in ref.nijenhuis_defect(n, br, symbolic):
+        assert all(sympy.expand(u - v) == 0 for u, v in zip(lhs, rhs))
+    found = grid_search_nijenhuis(lts_from_lie_algebra(solv3_lie()), (1, 0, -1))
+    assert len(found) == 3 ** 9
+    assert found == [tuple(e[3 * r:3 * r + 3] for r in range(3))
+                     for e in itertools.product((-1, 0, 1), repeat=9)]
+
+
+def test_grid_search_rare_hits_match_reference():
+    system = direct_sum(l2(), abelian(1))
+    n, br = 3, ref.mk_bracket(3, {(0, 1, 1): {0: 1}, (1, 0, 1): {0: -1}})
+    expected = [tuple(e[3 * r:3 * r + 3] for r in range(3))
+                for e in itertools.product((0, 1), repeat=9)]
+    expected = [N for N in expected if ref.is_nijenhuis(n, br, N)]
+    assert len(expected) == 120
+    assert grid_search_nijenhuis(system, (0, 1)) == expected
+
+
 def test_grid_search_budget():
     with pytest.raises(BudgetExceeded):
         grid_search_nijenhuis(l2(), (-1, 0, 1), budget=80)
 
 
-def test_grid_search_thread_env(monkeypatch):
-    monkeypatch.setenv("NLTS_THREADS", "2")
-    found = grid_search_nijenhuis(l2(), (-1, 0, 1))
-    assert len(found) == 81
-    monkeypatch.setenv("NLTS_THREADS", "1")
-    assert grid_search_nijenhuis(l2(), (-1, 0, 1)) == found
-
-
 def test_morphism_check_negative():
     # the identity is not a morphism from sl2 to the abelian bracket
-    from nlts import abelian
     report = is_morphism(lts_from_lie_algebra(sl2_lie()), abelian(3), ident(3))
     assert not report.ok
+
+
+# ---------------------------------------------------------------------------
+# differential checks against the oracle
+
+DIFF_SYSTEMS = {
+    "l2": (l2, ref.mk_l2),
+    "sl2": (lambda: lts_from_lie_algebra(sl2_lie()), ref.mk_sl2_lts),
+    "solv3": (lambda: lts_from_lie_algebra(solv3_lie()), ref.mk_solv3_lts),
+    "l2+l2": (lambda: direct_sum(l2(), l2()),
+              lambda: (4, ref.mk_bracket(4, {
+                  (0, 1, 1): {0: 1}, (1, 0, 1): {0: -1},
+                  (2, 3, 3): {2: 1}, (3, 2, 3): {2: -1}}))),
+}
+
+scalar = st.one_of(st.integers(min_value=-3, max_value=3),
+                   st.fractions(min_value=-2, max_value=2, max_denominator=2))
+
+
+@st.composite
+def system_and_operator(draw):
+    name = draw(st.sampled_from(sorted(DIFF_SYSTEMS)))
+    n = DIFF_SYSTEMS[name][0]().dim
+    N = tuple(tuple(draw(scalar) for _ in range(n)) for _ in range(n))
+    return name, N, draw(st.sampled_from((-1, 0, 1)))
+
+
+def _witnesses(report):
+    return [(v["at"], v["lhs"], v["rhs"]) for v in report.violations]
+
+
+@given(system_and_operator())
+@settings(max_examples=20, deadline=None)
+def test_identity_checks_match_reference(case):
+    name, N, lam = case
+    make, make_ref = DIFF_SYSTEMS[name]
+    system = make()
+    n, br = make_ref()
+    assert nijenhuis_defect(system, N) == ref.nijenhuis_defect(n, br, N)
+    assert _witnesses(is_rota_baxter(system, N, lam)) == \
+        ref.rb_defect(n, br, N, lam)
+    assert _witnesses(is_modified_rb(system, N, lam)) == \
+        ref.mrb_defect(n, br, N, lam)
+    deformed, _ = induced_bracket(system, N)
+    expected = ref.induced_bracket(n, br, N)
+    assert {t: deformed.coeff(*t) for t in expected} == expected
+
+
+def test_integer_witnesses_keep_integer_entries():
+    system = direct_sum(l2(), l2())
+    n, br = DIFF_SYSTEMS["l2+l2"][1]()
+    mine = nijenhuis_defect(system, BAD_PAIR_N)
+    assert mine and repr(mine) == repr(ref.nijenhuis_defect(n, br, BAD_PAIR_N))
+
+
+def test_five_term_witnesses_on_corrupted_tables():
+    rng = random.Random(17)
+    bases = [lts_from_lie_algebra(sl2_lie()), lts_from_lie_algebra(solv3_lie()),
+             direct_sum(l2(), l2())]
+    checked = 0
+    for system in bases:
+        n = system.dim
+        for _ in range(3):
+            table = dict(system.table)
+            key = rng.choice(sorted(table))
+            value = list(table[key])
+            value[rng.randrange(n)] += rng.choice((1, -2, Fraction(1, 2)))
+            table[key] = tuple(value)
+            table[tuple(rng.randrange(n) for _ in range(3))] = tuple(
+                rng.choice((0, 1, -1)) for _ in range(n))
+            corrupted = LieTripleSystem(n, table)
+            br = {t: corrupted.coeff(*t)
+                  for t in itertools.product(range(n), repeat=3)}
+            five = [(v["at"], v["lhs"], v["rhs"])
+                    for v in check_lts(corrupted).violations
+                    if v["axiom"] == "five-term"]
+            assert five == ref.five_term_defect(n, br)
+            checked += bool(five)
+    assert checked >= 6
