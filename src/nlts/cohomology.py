@@ -6,7 +6,18 @@ map T^(2k+1) -> V stored as ``{(i1,...,i2k+1): vector}`` and required to
 be antisymmetric in its last-but-one pair of slots with vanishing cyclic
 sum over its last three slots.
 
-Three operators act on these spaces:
+Two of the operators below are Yamaguti's coboundary (Yamaguti 1960),
+one formula for every odd degree 2p+1.  Given actions theta and D on V
+and a rule for feeding a bracket into a cochain slot, it sends f to the
+(2p+3)-cochain whose value at (x_1, ..., x_2p+3) is
+
+  theta(x_2p+2, x_2p+3) f(x_1, ..., x_2p+1)
+    - theta(x_2p+1, x_2p+3) f(x_1, ..., x_2p, x_2p+2)
+    + sum_{k=1..p+1} (-1)^(p+k+1) ( D(x_2k-1, x_2k) f(..^x_2k-1, ^x_2k..)
+        - sum_{j>2k} f(..^x_2k-1, ^x_2k.., [x_2k-1, x_2k, x_j], ..) ),
+
+where ^ drops an argument and the bracket stands in the place of x_j.
+Three operators act on the cochain spaces:
 
   * ``delta``   -- the Yamaguti coboundary of the underlying system and
                    representation (degree +2);
@@ -164,6 +175,57 @@ def validate_cochain(f, dim, vdim, degree):
     return Report(not violations, violations)
 
 
+def insert_in_slot(f, args, pos, w, m):
+    """f at args with the coefficient vector w substituted into slot pos."""
+    acc = None
+    for t, c in enumerate(w):
+        if not c:
+            continue
+        v = f[args[:pos] + (t,) + args[pos + 1:]]
+        if acc is None:
+            acc = [c * x for x in v]
+        else:
+            for a in range(m):
+                acc[a] += c * v[a]
+    if acc is None:
+        return vzero(m)
+    return tuple(acc)
+
+
+def yamaguti_coboundary(f, degree, n, m, theta, D, ins):
+    """Yamaguti's coboundary (see the module docstring) of an odd-degree f.
+
+    ``f`` maps every tuple of base indices to a vector of length m,
+    ``theta`` and ``D`` map basis pairs to m-by-m matrices, and
+    ``ins(f, args, pos, (i, j, k))`` is f at args with the bracket
+    [e_i, e_j, e_k] in slot pos.
+    """
+    if degree < 1 or degree % 2 == 0:
+        raise ValueError("differentials act on odd degrees; got %d" % degree)
+    out = {}
+    for t in itertools.product(range(n), repeat=degree + 2):
+        acc = [0] * m
+        terms = [(1, theta[t[-2:]], f[t[:-2]]),
+                 (-1, theta[(t[-3], t[-1])], f[t[:-3] + t[-2:-1]])]
+        sign = (-1) ** (degree // 2)  # (-1)^(p+k+1) at k = 1
+        for k in range(0, degree, 2):
+            pair = t[k:k + 2]
+            rest = t[:k] + t[k + 2:]
+            terms.append((sign, D[pair], f[rest]))
+            for pos in range(k, degree):
+                w = ins(f, rest, pos, pair + (rest[pos],))
+                for a in range(m):
+                    acc[a] -= sign * w[a]
+            sign = -sign
+        for c, M, v in terms:
+            if any(v):
+                w = matvec(M, v)
+                for a in range(m):
+                    acc[a] += c * w[a]
+        out[t] = tuple(acc)
+    return out
+
+
 class Complex:
     """All cochain operators for one (system, representation, N, Nv) tuple."""
 
@@ -194,91 +256,28 @@ class Complex:
         b = self.thetaN[(i, j)]
         return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
 
-    # -- evaluation helpers -------------------------------------------------
-
-    def _insert(self, f, args, pos, w):
-        """f with the coefficient vector w substituted into slot pos."""
-        acc = None
-        for t in range(self.n):
-            c = w[t]
-            if not c:
-                continue
-            v = f[args[:pos] + (t,) + args[pos + 1:]]
-            if acc is None:
-                acc = [c * x for x in v]
-            else:
-                for a in range(self.m):
-                    acc[a] += c * v[a]
-        if acc is None:
-            return vzero(self.m)
-        return tuple(acc)
-
     def _tele(self, f, args, pos, key):
         """Alternating insertion of the three graded brackets at one slot."""
-        v = self._insert(f, args, pos, self.p2[key])
-        v = vsub(v, matvec(self.Nv, self._insert(f, args, pos, self.p1[key])))
-        v = vadd(v, matvec(self.Nv, matvec(
-            self.Nv, self._insert(f, args, pos, self.p0[key]))))
-        return v
+        Nv = self.Nv
+        ins = lambda p: insert_in_slot(f, args, pos, p[key], self.m)
+        v = vsub(ins(self.p2), matvec(Nv, ins(self.p1)))
+        return vadd(v, matvec(Nv, matvec(Nv, ins(self.p0))))
 
     # -- the three operators ------------------------------------------------
-
-    def _delta_like(self, f, degree, theta, D, ins):
-        n = self.n
-        out = {}
-        if degree == 1:
-            for t in itertools.product(range(n), repeat=3):
-                x1, x2, x3 = t
-                v = matvec(theta[(x2, x3)], f[(x1,)])
-                v = vsub(v, matvec(theta[(x1, x3)], f[(x2,)]))
-                v = vadd(v, matvec(D[(x1, x2)], f[(x3,)]))
-                v = vsub(v, ins(f, (0,), 0, t))
-                out[t] = v
-            return out
-        if degree == 3:
-            for t in itertools.product(range(n), repeat=5):
-                x1, x2, x3, x4, x5 = t
-                v = matvec(theta[(x4, x5)], f[(x1, x2, x3)])
-                v = vsub(v, matvec(theta[(x3, x5)], f[(x1, x2, x4)]))
-                v = vsub(v, matvec(D[(x1, x2)], f[(x3, x4, x5)]))
-                v = vadd(v, matvec(D[(x3, x4)], f[(x1, x2, x5)]))
-                v = vadd(v, ins(f, (0, x4, x5), 0, (x1, x2, x3)))
-                v = vadd(v, ins(f, (x3, 0, x5), 1, (x1, x2, x4)))
-                v = vadd(v, ins(f, (x3, x4, 0), 2, (x1, x2, x5)))
-                v = vsub(v, ins(f, (x1, x2, 0), 2, (x3, x4, x5)))
-                out[t] = v
-            return out
-        if degree == 5:
-            for t in itertools.product(range(n), repeat=7):
-                x1, x2, x3, x4, x5, x6, x7 = t
-                v = matvec(theta[(x6, x7)], f[(x1, x2, x3, x4, x5)])
-                v = vsub(v, matvec(theta[(x5, x7)], f[(x1, x2, x3, x4, x6)]))
-                v = vadd(v, matvec(D[(x1, x2)], f[(x3, x4, x5, x6, x7)]))
-                v = vsub(v, matvec(D[(x3, x4)], f[(x1, x2, x5, x6, x7)]))
-                v = vadd(v, matvec(D[(x5, x6)], f[(x1, x2, x3, x4, x7)]))
-                v = vsub(v, ins(f, (0, x4, x5, x6, x7), 0, (x1, x2, x3)))
-                v = vsub(v, ins(f, (x3, 0, x5, x6, x7), 1, (x1, x2, x4)))
-                v = vsub(v, ins(f, (x3, x4, 0, x6, x7), 2, (x1, x2, x5)))
-                v = vsub(v, ins(f, (x3, x4, x5, 0, x7), 3, (x1, x2, x6)))
-                v = vsub(v, ins(f, (x3, x4, x5, x6, 0), 4, (x1, x2, x7)))
-                v = vadd(v, ins(f, (x1, x2, 0, x6, x7), 2, (x3, x4, x5)))
-                v = vadd(v, ins(f, (x1, x2, x5, 0, x7), 3, (x3, x4, x6)))
-                v = vadd(v, ins(f, (x1, x2, x5, x6, 0), 4, (x3, x4, x7)))
-                v = vsub(v, ins(f, (x1, x2, x3, x4, 0), 4, (x5, x6, x7)))
-                out[t] = v
-            return out
-        raise ValueError("differentials act on degrees 1, 3, 5; got %d" % degree)
 
     def delta(self, f, degree):
         """Yamaguti coboundary of the underlying structure (degree +2)."""
         f = normalize_cochain(f, self.n, self.m, degree)
-        ins = lambda g, args, pos, key: self._insert(g, args, pos, self.p0[key])
-        return self._delta_like(f, degree, self.theta, self.D, ins)
+        ins = lambda g, args, pos, key: insert_in_slot(g, args, pos,
+                                                       self.p0[key], self.m)
+        return yamaguti_coboundary(f, degree, self.n, self.m, self.theta,
+                                   self.D, ins)
 
     def partial(self, f, degree):
         """Deformed coboundary with alternating graded insertions (degree +2)."""
         f = normalize_cochain(f, self.n, self.m, degree)
-        return self._delta_like(f, degree, self.thetaN, self.DN, self._tele)
+        return yamaguti_coboundary(f, degree, self.n, self.m, self.thetaN,
+                                   self.DN, self._tele)
 
     def phi(self, f, degree):
         """Product over slots of (apply N in the slot) - (apply Nv after)."""
@@ -302,25 +301,21 @@ class Complex:
         return g
 
     def d(self, f, g, degree):
-        """The pair differential; g must be None in degree 1."""
-        if degree == 1:
-            if g is not None:
-                raise ValueError("degree-1 cochains have no companion")
-            df = self.delta(f, 1)
-            second = cochain_scale(-1, self.phi(f, 1))
-            return df, second
-        if degree not in (3, 5):
+        """The pair differential; a missing f or g is zero (g is absent in
+        degree 1)."""
+        if degree == 1 and g is not None:
+            raise ValueError("degree-1 cochains have no companion")
+        if degree not in (1, 3, 5):
             raise ValueError("the pair differential acts in degrees 1, 3, 5")
-        if g is None:
-            g = zero_cochain(self.n, self.m, degree - 2)
-        sign = 1 if degree == 3 else -1
-        df = self.delta(f, degree)
-        second = self.partial(g, degree - 2)
-        pf = self.phi(f, degree)
-        if sign == 1:
-            second = cochain_add(second, pf)
+        if f is None:
+            df = zero_cochain(self.n, self.m, degree + 2)
+            second = zero_cochain(self.n, self.m, degree)
         else:
-            second = cochain_sub(second, pf)
+            df = self.delta(f, degree)
+            second = cochain_scale((-1) ** ((degree + 1) // 2),
+                                   self.phi(f, degree))
+        if g is not None:
+            second = cochain_add(self.partial(g, degree - 2), second)
         return df, second
 
     # -- bases, flattening, matrices ---------------------------------------
@@ -376,20 +371,12 @@ class Complex:
         return top + low
 
     def _d_columns(self, degree):
-        if degree in self._dcols:
-            return self._dcols[degree]
-        n, m = self.n, self.m
-        cols = []
-        for f, g in self._pair_domain(degree):
-            fc = f if f is not None else zero_cochain(n, m, degree)
-            gc = g if degree > 1 else None
-            if degree > 1 and gc is None:
-                gc = zero_cochain(n, m, degree - 2)
-            df, second = self.d(fc, gc, degree)
-            cols.append(self.flatten(df, degree + 2)
-                        + self.flatten(second, degree if degree > 1 else 1))
-        self._dcols[degree] = cols
-        return cols
+        if degree not in self._dcols:
+            self._dcols[degree] = [
+                self.flatten(df, degree + 2) + self.flatten(second, degree)
+                for df, second in (self.d(f, g, degree)
+                                   for f, g in self._pair_domain(degree))]
+        return self._dcols[degree]
 
     def d_rank(self, degree):
         if degree not in self._rank:

@@ -21,17 +21,10 @@ gamma yields the isomorphism (x, u) -> (x, u + gamma(x)).
 
 import itertools
 
-from .linalg import ident, matvec, vadd, vzero, zeros
-from .lts import LieTripleSystem, Report, Representation
-from .cohomology import (
-    Complex,
-    cochain_sub,
-    normalize_cochain,
-    validate_cochain,
-    zero_cochain,
-)
-from .operators import is_nijenhuis
-from .lts import check_lts
+from .linalg import matvec, vzero
+from .lts import LieTripleSystem, Report, Representation, check_lts
+from .cohomology import Complex, cochain_sub, normalize_cochain
+from .operators import graded_brackets, is_nijenhuis
 
 
 class AbelianExtension:
@@ -58,15 +51,11 @@ class AbelianExtension:
         for t in itertools.product(range(n), repeat=3):
             table[t] = base.coeff(*t) + self.psi[t]
         pad = vzero(n)
-        for i in range(n):
-            for j in range(n):
-                th = rep.theta[(i, j)]
-                Dm = rep.D(i, j)
-                for a in range(m):
-                    col = tuple(th[r][a] for r in range(m))
-                    table[(n + a, i, j)] = pad + col
-                    table[(i, n + a, j)] = pad + tuple(-x for x in col)
-                    table[(i, j, n + a)] = pad + tuple(Dm[r][a] for r in range(m))
+        first, second, third = rep.slot_tensors()
+        for i, j, a in itertools.product(range(n), range(n), range(m)):
+            table[(n + a, i, j)] = pad + first[(a, i, j)]
+            table[(i, n + a, j)] = pad + second[(i, a, j)]
+            table[(i, j, n + a)] = pad + third[(i, j, a)]
         return LieTripleSystem(n + m, table)
 
     def _build_nhat(self):
@@ -243,11 +232,10 @@ def _is_isomorphism(eta, ext1, ext2):
     size = ext1.n + ext1.m
     t1, t2 = ext1.total, ext2.total
     e = [t1.basis_vector(i) for i in range(size)]
+    image = graded_brackets(t2, eta)[3]
+    zero = vzero(size)
     for t in itertools.product(range(size), repeat=3):
-        lhs = matvec(eta, t1.coeff(*t))
-        rhs = t2.bracket(matvec(eta, e[t[0]]), matvec(eta, e[t[1]]),
-                         matvec(eta, e[t[2]]))
-        if lhs != rhs:
+        if matvec(eta, t1.coeff(*t)) != image.get(t, zero):
             return False
     for c in range(size):
         col = tuple(ext1.Nhat[r][c] for r in range(size))

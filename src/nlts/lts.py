@@ -18,7 +18,6 @@ derived family is D(x, y) = theta(y, x) - theta(x, y).
 import itertools
 
 from .linalg import (
-    ident,
     matadd,
     mat_iszero,
     matmul,
@@ -27,8 +26,6 @@ from .linalg import (
     matvec,
     vadd,
     viszero,
-    vscale,
-    vsub,
     vzero,
     zeros,
 )
@@ -194,6 +191,25 @@ class Representation:
     def D(self, i, j):
         """D(e_i, e_j) = theta(e_j, e_i) - theta(e_i, e_j)."""
         return matsub(self.theta[(j, i)], self.theta[(i, j)])
+
+    def slot_tensors(self):
+        """The action as graded bracket tensors, one per fiber slot.
+
+        A fiber basis vector a in the first slot of a bracket with e_i, e_j
+        gives theta(e_i, e_j) a, in the second slot -theta(e_i, e_j) a, and
+        in the third slot D(e_i, e_j) a.  Returns the three dicts, keyed
+        (a, i, j), (i, a, j) and (i, j, a).
+        """
+        n, m = self.base.dim, self.vdim
+        first, second, third = {}, {}, {}
+        for i, j in itertools.product(range(n), repeat=2):
+            th, Dm = self.theta[(i, j)], self.D(i, j)
+            for a in range(m):
+                col = tuple(th[r][a] for r in range(m))
+                first[(a, i, j)] = col
+                second[(i, a, j)] = tuple(-x for x in col)
+                third[(i, j, a)] = tuple(Dm[r][a] for r in range(m))
+        return first, second, third
 
 
 def trivial_rep(system, vdim=1):

@@ -35,28 +35,30 @@ def _check_fiber_operator(rep, Nv):
     return tuple(tuple(row) for row in Nv)
 
 
+def compatibility_sides(rep, N, Nv, i, j):
+    """Both sides of the compatibility identity at the basis pair (e_i, e_j)."""
+    x, y = rep.base.basis_vector(i), rep.base.basis_vector(j)
+    Nx, Ny = matvec(N, x), matvec(N, y)
+    tNN = rep.theta_vecs(Nx, Ny)
+    tNy = rep.theta_vecs(Nx, y)
+    txN = rep.theta_vecs(x, Ny)
+    txy = rep.theta[(i, j)]
+    inner = matadd(tNN, matadd(matmul(tNy, Nv), matmul(txN, Nv)))
+    inner = matsub(inner, matmul(Nv, tNy))
+    inner = matsub(inner, matmul(Nv, txN))
+    inner = matsub(inner, matmul(Nv, matmul(txy, Nv)))
+    inner = matadd(inner, matmul(matmul(Nv, Nv), txy))
+    return matmul(tNN, Nv), matmul(Nv, inner)
+
+
 def check_nijenhuis_rep(rep, N, Nv):
     """Verify the compatibility identity on all basis pairs of the base."""
-    system = rep.base
-    n = system.dim
-    N = _check_operator(system, N)
+    n = rep.base.dim
+    N = _check_operator(rep.base, N)
     Nv = _check_fiber_operator(rep, Nv)
-    e = [system.basis_vector(i) for i in range(n)]
     violations = []
     for i, j in itertools.product(range(n), repeat=2):
-        x, y = e[i], e[j]
-        Nx, Ny = matvec(N, x), matvec(N, y)
-        tNN = rep.theta_vecs(Nx, Ny)
-        tNy = rep.theta_vecs(Nx, y)
-        txN = rep.theta_vecs(x, Ny)
-        txy = rep.theta[(i, j)]
-        lhs = matmul(tNN, Nv)
-        inner = matadd(tNN, matadd(matmul(tNy, Nv), matmul(txN, Nv)))
-        inner = matsub(inner, matmul(Nv, tNy))
-        inner = matsub(inner, matmul(Nv, txN))
-        inner = matsub(inner, matmul(Nv, matmul(txy, Nv)))
-        inner = matadd(inner, matmul(matmul(Nv, Nv), txy))
-        rhs = matmul(Nv, inner)
+        lhs, rhs = compatibility_sides(rep, N, Nv, i, j)
         if lhs != rhs:
             violations.append({"identity": "nijenhuis-representation",
                                "at": (i, j), "lhs": lhs, "rhs": rhs})

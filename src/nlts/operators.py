@@ -185,13 +185,14 @@ def is_morphism(source, target, N):
     """Whether N maps source brackets to target brackets: N[x,y,z]_s = [Nx,Ny,Nz]_t."""
     n = source.dim
     N = _check_operator(source, N)
-    e = [source.basis_vector(i) for i in range(n)]
+    image = graded_brackets(target, N)[3]
+    zero = vzero(target.dim)
     violations = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = matvec(N, source.coeff(i, j, k))
-        rhs = target.bracket(matvec(N, e[i]), matvec(N, e[j]), matvec(N, e[k]))
+    for t in itertools.product(range(n), repeat=3):
+        lhs = matvec(N, source.coeff(*t))
+        rhs = image.get(t, zero)
         if lhs != rhs:
-            violations.append({"identity": "morphism", "at": (i, j, k),
+            violations.append({"identity": "morphism", "at": t,
                                "lhs": lhs, "rhs": rhs})
     return Report(not violations, violations)
 

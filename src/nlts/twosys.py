@@ -27,9 +27,7 @@ as degree-5 cocycle pairs, and strict ones as crossed modules.
 import itertools
 
 from .linalg import (
-    matadd,
     matmul,
-    matscale,
     matsub,
     matvec,
     vadd,
@@ -40,8 +38,14 @@ from .linalg import (
     zeros,
 )
 from .lts import LieTripleSystem, Report, Representation
-from .cohomology import Complex, normalize_cochain, zero_cochain
-from .operators import nijenhuis_defect, telescoped_brackets, _check_operator
+from .cohomology import (
+    Complex,
+    insert_in_slot,
+    normalize_cochain,
+    yamaguti_coboundary,
+)
+from .nrep import compatibility_sides
+from .operators import telescoped_brackets, _check_operator
 
 
 def _freeze_tensor(table, shape, outdim, name):
@@ -306,23 +310,13 @@ def check_2system(sys2):
             if lhs != rhs:
                 bad("L10", (y1, y2, y3, y4, a), lhs, rhs)
 
-    # L11: the fourteen-term coherence of l5 with the graded bracket
-    for t in itertools.product(range(n0), repeat=7):
-        x1, x2, x3, x4, x5, x6, x7 = t
-        w = s.ev100(s.l5[(x1, x2, x3, x4, x5)], x6, x7)
-        w = vsub(w, s.ev100(s.l5[(x1, x2, x3, x4, x6)], x5, x7))
-        w = vadd(w, s.ev001(x1, x2, s.l5[(x3, x4, x5, x6, x7)]))
-        w = vsub(w, s.ev001(x3, x4, s.l5[(x1, x2, x5, x6, x7)]))
-        w = vadd(w, s.ev001(x5, x6, s.l5[(x1, x2, x3, x4, x7)]))
-        w = vsub(w, s.ev5(s.l3_000[(x1, x2, x3)], x4, x5, x6, x7))
-        w = vsub(w, s.ev5(x3, s.l3_000[(x1, x2, x4)], x5, x6, x7))
-        w = vsub(w, s.ev5(x3, x4, s.l3_000[(x1, x2, x5)], x6, x7))
-        w = vsub(w, s.ev5(x3, x4, x5, s.l3_000[(x1, x2, x6)], x7))
-        w = vsub(w, s.ev5(x3, x4, x5, x6, s.l3_000[(x1, x2, x7)]))
-        w = vadd(w, s.ev5(x1, x2, s.l3_000[(x3, x4, x5)], x6, x7))
-        w = vadd(w, s.ev5(x1, x2, x5, s.l3_000[(x3, x4, x6)], x7))
-        w = vadd(w, s.ev5(x1, x2, x5, x6, s.l3_000[(x3, x4, x7)]))
-        w = vsub(w, s.ev5(x1, x2, x3, x4, s.l3_000[(x5, x6, x7)]))
+    # L11: l5 is a cocycle of Yamaguti's coboundary for the first-slot
+    # action, the third-slot family and the base bracket
+    ins = lambda f, args, pos, key: insert_in_slot(f, args, pos,
+                                                   s.l3_000[key], n1)
+    dl5 = yamaguti_coboundary(s.l5, 5, n0, n1, s.slot1_action(),
+                              s.third_slot_action(), ins)
+    for t, w in dl5.items():
         if not viszero(w):
             bad("L11", t, w)
 
@@ -373,7 +367,6 @@ def check_nijenhuis_2system(sys2, nstr):
 
     # (d): the base Nijenhuis defect is -h(N2)
     base = s.base_system()
-    e0 = [base.basis_vector(i) for i in range(n0)]
     for t, (a3, _, _, p2) in telescoped_brackets(base, N0).items():
         lhs = vsub(a3, matvec(N0, p2))
         rhs = vscale(-1, matvec(s.h, N2[t]))
@@ -381,28 +374,16 @@ def check_nijenhuis_2system(sys2, nstr):
             bad("base-defect", t, lhs, rhs)
 
     # (e): the fiber-action defect is N2(., ., h(.))
-    Dm = s.third_slot_action()
-    Th = s.slot1_action()
-
     def act_defect(action):
+        rep = Representation(base, n1, action)
         defects = {}
         for i, j in itertools.product(range(n0), repeat=2):
-            Nx = matvec(N0, e0[i])
-            Ny = matvec(N0, e0[j])
-            axy = _bilin(action, n0, e0[i], e0[j])
-            aNy = _bilin(action, n0, Nx, e0[j])
-            axN = _bilin(action, n0, e0[i], Ny)
-            aNN = _bilin(action, n0, Nx, Ny)
-            inner = matadd(aNN, matadd(matmul(axN, N1), matmul(aNy, N1)))
-            inner = matsub(inner, matmul(N1, aNy))
-            inner = matsub(inner, matmul(N1, axN))
-            inner = matsub(inner, matmul(N1, matmul(axy, N1)))
-            inner = matadd(inner, matmul(matmul(N1, N1), axy))
-            defects[(i, j)] = matsub(matmul(N1, inner), matmul(aNN, N1))
+            lhs, rhs = compatibility_sides(rep, N0, N1, i, j)
+            defects[(i, j)] = matsub(rhs, lhs)
         return defects
 
-    dD = act_defect(Dm)
-    dT = act_defect(Th)
+    dD = act_defect(s.third_slot_action())
+    dT = act_defect(s.slot1_action())
     theta_agrees = True
     for i, j in itertools.product(range(n0), repeat=2):
         for a in range(n1):
@@ -444,24 +425,6 @@ def check_nijenhuis_2system(sys2, nstr):
             "the expanded classical form of the five-argument condition "
             "differs from the differential-based one on this input")
     return report
-
-
-def _bilin(action, n0, x, y):
-    """Bilinear combination of an action's basis matrices."""
-    acc = None
-    for i in range(n0):
-        if not x[i]:
-            continue
-        for j in range(n0):
-            c = x[i] * y[j]
-            if not c:
-                continue
-            term = matscale(c, action[(i, j)])
-            acc = term if acc is None else matadd(acc, term)
-    if acc is None:
-        m = len(next(iter(action.values())))
-        return zeros(m)
-    return acc
 
 
 def _expanded_five_condition_agrees(sys2, nstr, cx, semantic_second):
@@ -525,23 +488,10 @@ def cocycle_to_skeletal(complex_, f, g):
     slot its negative, the third slot the derived family.
     """
     n, m = complex_.n, complex_.m
-    base = complex_.system
-    rep = complex_.rep
-    h = zeros(n, m)
-    l3_100 = {}
-    l3_010 = {}
-    l3_001 = {}
-    for i in range(n):
-        for j in range(n):
-            th = rep.theta[(i, j)]
-            Dm = rep.D(i, j)
-            for a in range(m):
-                l3_100[(a, i, j)] = tuple(th[r][a] for r in range(m))
-                l3_010[(i, a, j)] = tuple(-th[r][a] for r in range(m))
-                l3_001[(i, j, a)] = tuple(Dm[r][a] for r in range(m))
     f = normalize_cochain(f, n, m, 5)
     g = normalize_cochain(g, n, m, 3)
-    sys2 = LieTriple2System(n, m, h, base.table, l3_100, l3_010, l3_001, f)
+    sys2 = LieTriple2System(n, m, zeros(n, m), complex_.system.table,
+                            *complex_.rep.slot_tensors(), f)
     nstr = Nijenhuis2Structure(n, m, complex_.N, complex_.Nv, g)
     return sys2, nstr
 
@@ -653,18 +603,7 @@ def crossed_module_to_strict(xm):
     dictionary, and l5 and N2 are zero.
     """
     n0, n1 = xm.n0, xm.n1
-    l3_100 = {}
-    l3_010 = {}
-    l3_001 = {}
-    for i in range(n0):
-        for j in range(n0):
-            th = xm.action.theta[(i, j)]
-            Dm = xm.action.D(i, j)
-            for a in range(n1):
-                l3_100[(a, i, j)] = tuple(th[r][a] for r in range(n1))
-                l3_010[(i, a, j)] = tuple(-th[r][a] for r in range(n1))
-                l3_001[(i, j, a)] = tuple(Dm[r][a] for r in range(n1))
-    sys2 = LieTriple2System(n0, n1, xm.h, xm.base.table, l3_100, l3_010,
-                            l3_001, None)
+    sys2 = LieTriple2System(n0, n1, xm.h, xm.base.table,
+                            *xm.action.slot_tensors(), None)
     nstr = Nijenhuis2Structure(n0, n1, xm.N0, xm.N1, None)
     return sys2, nstr

@@ -148,7 +148,8 @@ def test_d_square_zero(ctxname, request):
 def test_delta_and_partial_square_zero(ctxname, request):
     cx = request.getfixturevalue(ctxname)
     rng = random.Random(53)
-    for deg in (1, 3):
+    # degree 5 runs the general coboundary through degree 7 into 9
+    for deg in (1, 3, 5):
         for _ in range(4):
             f = lib_rand(cx, rng, deg)
             assert cochain_iszero(cx.delta(cx.delta(f, deg), deg + 2))
@@ -160,7 +161,8 @@ def test_delta_and_partial_square_zero(ctxname, request):
 def test_chain_map_rule(ctxname, request):
     cx = request.getfixturevalue(ctxname)
     rng = random.Random(61)
-    for deg in (1, 3):
+    degs = (1, 3) if cx.n > 2 else (1, 3, 5)
+    for deg in degs:
         for _ in range(4):
             f = lib_rand(cx, rng, deg)
             assert cx.partial(cx.phi(f, deg), deg) == cx.phi(
@@ -280,3 +282,16 @@ def test_is_cocycle_validates_shape(cx_l2_adj):
 def test_degree_one_kernel_matches_h1(cx_l2_adj, cx_l2_triv):
     assert len(cx_l2_adj.kernel_pairs(1)) == 1
     assert len(cx_l2_triv.kernel_pairs(1)) == 0
+
+
+def test_degree_seven_is_refused_where_matrices_are_built(cx_l2_adj):
+    cx = cx_l2_adj
+    f7 = zero_cochain(cx.n, cx.m, 7)
+    assert cochain_iszero(cx.delta(f7, 7)) and cochain_iszero(cx.partial(f7, 7))
+    for call, message in (
+            (lambda: cx.d(f7, None, 7), "acts in degrees 1, 3, 5"),
+            (lambda: cx.cohomology_dim(7), "computed in degrees 1, 3, 5"),
+            (lambda: cx.is_coboundary(f7, None, 7), "arrive in degrees 3 and 5"),
+            (lambda: cx.delta(zero_cochain(cx.n, cx.m, 2), 2), "odd degrees")):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -5,6 +5,8 @@ import itertools
 
 import pytest
 
+import reference as ref
+
 from nlts import (
     Complex,
     CrossedModule,
@@ -145,6 +147,40 @@ def test_broken_coherence_witnessed(cx_l2_adj):
                            tensors["l3_001"], dict(sys2.l5))
     report = check_2system(bad)
     assert not report.ok
+
+
+def _l11_witnesses(sys2):
+    return [(item["at"], item["lhs"]) for item in check_2system(sys2).violations
+            if item["condition"] == "L11"]
+
+
+def _oracle_l11(sys2):
+    """Nonzero values of the oracle's degree-5 coboundary of l5, fed with
+    the first-slot action and the third-slot matrices of the tensors."""
+    n, m = sys2.n0, sys2.n1
+    pairs = list(itertools.product(range(n), repeat=2))
+    theta = {(i, j): tuple(tuple(sys2.l3_100[(a, i, j)][r] for a in range(m))
+                           for r in range(m)) for i, j in pairs}
+    D = {(i, j): tuple(tuple(sys2.l3_001[(i, j, a)][r] for a in range(m))
+                       for r in range(m)) for i, j in pairs}
+    out = ref.delta5(dict(sys2.l5), n, m, theta, D, dict(sys2.l3_000))
+    return [(t, v) for t, v in out.items() if not ref.viszero(v)]
+
+
+def test_l11_witnesses_match_oracle_coboundary(cx_l2_adj):
+    cx = cx_l2_adj
+    # a degree-5 cochain off the delta-cocycles makes L11 fail
+    l5 = next(b for b in cx.cochain_basis(5)
+              if any(any(v) for v in cx.delta(b, 5).values()))
+    sys2, _ = cocycle_to_skeletal(cx, l5, zero_cochain(2, 2, 3))
+    l3_001 = dict(sys2.l3_001)
+    l3_001[(0, 1, 0)] = (1, 2)
+    l3_001[(1, 0, 1)] = (-1, 0)
+    corrupt = LieTriple2System(2, 2, sys2.h, sys2.l3_000, sys2.l3_100,
+                               sys2.l3_010, l3_001, sys2.l5)
+    found = [_l11_witnesses(s) for s in (sys2, corrupt)]
+    assert found[0] and found[1] and found[0] != found[1]
+    assert found == [_oracle_l11(s) for s in (sys2, corrupt)]
 
 
 def test_identity_crossed_module():
