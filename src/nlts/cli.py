@@ -41,6 +41,7 @@ from .cohomology import Complex, zero_cochain
 from .extensions import (
     build_extension,
     chi_to_cochain,
+    cochain_to_chi,
     extensions_equivalent,
     extract_cocycle,
 )
@@ -249,8 +250,7 @@ def cmd_extend(args):
                                    args.pair)
     if g is None:
         g = {(i,): (0,) * cx.m for i in range(cx.n)}
-    chi = tuple(tuple(g[(i,)][a] for i in range(cx.n)) for a in range(cx.m))
-    ext, report = build_extension(cx, f, chi)
+    ext, report = build_extension(cx, f, cochain_to_chi(g, cx.n, cx.m))
     obj = jsonio.extension_to_obj(ext)
     if args.json:
         payload = jsonable(report.to_dict())

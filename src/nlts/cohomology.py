@@ -116,20 +116,26 @@ def zero_cochain(dim, vdim, degree):
             for t in itertools.product(range(dim), repeat=degree)}
 
 
-def normalize_cochain(f, dim, vdim, degree):
-    """Complete dict form with frozen tuple values; missing keys are zero."""
+def dense_tensor(table, shape, outdim, what="value"):
+    """Complete dict form over every key of ``shape``, with frozen tuple
+    values of length outdim; missing keys (or a missing table) are zero."""
     out = {}
-    for t in itertools.product(range(dim), repeat=degree):
-        v = f.get(t)
+    for key in itertools.product(*(range(s) for s in shape)):
+        v = table.get(key) if table else None
         if v is None:
-            out[t] = vzero(vdim)
+            out[key] = vzero(outdim)
         else:
             v = tuple(v)
-            if len(v) != vdim:
-                raise ValueError("value at %r has length %d, expected %d"
-                                 % (t, len(v), vdim))
-            out[t] = v
+            if len(v) != outdim:
+                raise ValueError("%s at %r has length %d, expected %d"
+                                 % (what, key, len(v), outdim))
+            out[key] = v
     return out
+
+
+def normalize_cochain(f, dim, vdim, degree):
+    """Complete dict form with frozen tuple values; missing keys are zero."""
+    return dense_tensor(f, (dim,) * degree, vdim)
 
 
 def cochain_iszero(f):
@@ -309,14 +315,21 @@ class Complex:
             raise ValueError("the pair differential acts in degrees 1, 3, 5")
         if f is None:
             df = zero_cochain(self.n, self.m, degree + 2)
-            second = zero_cochain(self.n, self.m, degree)
         else:
             df = self.delta(f, degree)
+        return df, self.d_second(f, g, degree)
+
+    def d_second(self, f, g, degree):
+        """The second component of d(f, g), partial g + (-1)^k phi f; a
+        missing f or g is zero."""
+        if f is None:
+            second = zero_cochain(self.n, self.m, degree)
+        else:
             second = cochain_scale((-1) ** ((degree + 1) // 2),
                                    self.phi(f, degree))
         if g is not None:
             second = cochain_add(self.partial(g, degree - 2), second)
-        return df, second
+        return second
 
     # -- bases, flattening, matrices ---------------------------------------
 

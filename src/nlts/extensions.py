@@ -97,21 +97,14 @@ def build_extension(complex_, psi, chi):
     """
     ext = AbelianExtension(complex_.system, complex_.rep, complex_.N,
                            complex_.Nv, psi, chi)
-    axioms = check_lts(ext.total)
-    nij = is_nijenhuis(ext.total, ext.Nhat)
+    report = validate_extension(ext)
     chig = chi_to_cochain(ext.chi, ext.n, ext.m)
     cocycle = complex_.is_cocycle(ext.psi, chig, 3)
-    warnings = []
-    if (axioms.ok and nij.ok) != cocycle.ok:
-        warnings.append("structural verdict disagrees with the cocycle "
-                        "verdict; the base or representation data is "
-                        "likely invalid")
-    report = Report(axioms.ok and nij.ok,
-                    axioms.violations + nij.violations,
-                    warnings,
-                    {"total_lts_ok": axioms.ok,
-                     "lifted_nijenhuis_ok": nij.ok,
-                     "cocycle_ok": cocycle.ok})
+    if report.ok != cocycle.ok:
+        report.warnings.append("structural verdict disagrees with the "
+                               "cocycle verdict; the base or representation "
+                               "data is likely invalid")
+    report.data["cocycle_ok"] = cocycle.ok
     return ext, report
 
 
@@ -162,23 +155,16 @@ def induced_representation(ext):
             theta[(i, j)] = tuple(tuple(cols[a][r] for a in range(m))
                                   for r in range(m))
     rep = Representation(ext.base, m, theta)
-    for i in range(n):
-        for j in range(n):
-            th = theta[(i, j)]
-            Dm = rep.D(i, j)
-            for a in range(m):
-                w = total.coeff(i, n + a, j)
-                want = vzero(n) + tuple(-th[r][a] for r in range(m))
-                if w != want:
-                    violations.append({"identity": "middle-slot-action",
-                                       "at": (i, n + a, j),
-                                       "lhs": w, "rhs": want})
-                w = total.coeff(i, j, n + a)
-                want = vzero(n) + tuple(Dm[r][a] for r in range(m))
-                if w != want:
-                    violations.append({"identity": "third-slot-action",
-                                       "at": (i, j, n + a),
-                                       "lhs": w, "rhs": want})
+    _, second, third = rep.slot_tensors()
+    for i, j, a in itertools.product(range(n), range(n), range(m)):
+        for name, at, col in (
+                ("middle-slot-action", (i, n + a, j), second[(i, a, j)]),
+                ("third-slot-action", (i, j, n + a), third[(i, j, a)])):
+            w = total.coeff(*at)
+            want = vzero(n) + col
+            if w != want:
+                violations.append({"identity": name, "at": at,
+                                   "lhs": w, "rhs": want})
     for t in itertools.product(range(n + m), repeat=3):
         if sum(1 for s in t if s >= n) >= 2:
             w = total.coeff(*t)

@@ -7,11 +7,11 @@ equal to zero.  Serialization is deterministic: keys are sorted and the
 layout is fixed, so identical objects produce identical bytes.
 """
 
-import itertools
 import json
 
 from .linalg import format_rational, parse_rational
 from .lts import LieTripleSystem, Representation
+from .cohomology import normalize_cochain
 from .extensions import AbelianExtension
 from .twosys import CrossedModule, LieTriple2System, Nijenhuis2Structure
 
@@ -225,10 +225,7 @@ def cochain_from_obj(obj, dim, vdim, degree=None, where="cochain"):
     if degree is not None and d != degree:
         raise InputError("%s has degree %d, expected %d" % (where, d, degree))
     table = _entries_in(obj["entries"], (dim,) * d, vdim, "%s.entries" % where)
-    out = {}
-    for t in itertools.product(range(dim), repeat=d):
-        out[t] = table.get(t, (0,) * vdim)
-    return out, d
+    return normalize_cochain(table, dim, vdim, d), d
 
 
 def pair_to_obj(f, g, degree):

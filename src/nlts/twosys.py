@@ -4,13 +4,24 @@ A Lie triple 2-system is a two-term object (T0, T1, h, l3, l5): a base
 space T0, a fiber space T1, a linear map h : T1 -> T0, a trilinear
 bracket l3 defined on argument mixtures with at most one T1 entry (two
 or more T1 entries give zero), and a five-argument map
-l5 : T0^5 -> T1.  The bracket is stored as four tensors keyed by the
-slot carrying the T1 argument:
+l5 : T0^5 -> T1.  Together l3 is one graded bracket on T0 + T1: base
+arguments land in T0, one fiber argument lands in T1.  It is stored as
+four tensors keyed by the slot carrying the T1 argument:
 
   l3_000[(i,j,k)]  base bracket, lands in T0;
   l3_100[(a,i,j)]  T1 argument first, lands in T1;
   l3_010[(i,a,j)]  T1 argument second;
   l3_001[(i,j,a)]  T1 argument third.
+
+The coherence conditions L5-L10 share one five-term defect of the
+graded bracket,
+
+  F(y1,...,y5) = -[y1,y2,[y3,y4,y5]] + [y3,[y1,y2,y4],y5]
+                 + [[y1,y2,y3],y4,y5] + [y3,y4,[y1,y2,y5]],
+
+taken with at most one fiber argument: L5 says h(l5(x1,...,x5)) =
+F(x1,...,x5) on base arguments, and L(5+s), s = 1..5, says that l5
+with h(a) as its s-th argument equals F with a as its s-th argument.
 
 A Nijenhuis structure on such a system is a triple (N0, N1, N2): base
 and fiber operators plus a correcting map N2 : T0^3 -> T1.  The
@@ -25,6 +36,7 @@ as degree-5 cocycle pairs, and strict ones as crossed modules.
 """
 
 import itertools
+from operator import itemgetter
 
 from .linalg import (
     matmul,
@@ -40,6 +52,7 @@ from .linalg import (
 from .lts import LieTripleSystem, Report, Representation
 from .cohomology import (
     Complex,
+    dense_tensor,
     insert_in_slot,
     normalize_cochain,
     yamaguti_coboundary,
@@ -48,19 +61,26 @@ from .nrep import compatibility_sides
 from .operators import telescoped_brackets, _check_operator
 
 
-def _freeze_tensor(table, shape, outdim, name):
-    out = {}
-    for key in itertools.product(*(range(s) for s in shape)):
-        v = table.get(key) if table else None
-        if v is None:
-            out[key] = vzero(outdim)
-        else:
-            v = tuple(v)
-            if len(v) != outdim:
-                raise ValueError("%s value at %r has length %d, expected %d"
-                                 % (name, key, len(v), outdim))
-            out[key] = v
-    return out
+def _ev(table, args, m):
+    """A multilinear table at args, each a basis index or a coefficient
+    vector; m is the length of the table's values."""
+    vecpos = [p for p, a in enumerate(args) if not isinstance(a, int)]
+    if not vecpos:
+        return table[args]
+    p = vecpos[0]
+    if len(vecpos) == 1:
+        return insert_in_slot(table, args, p, args[p], m)
+    acc = vzero(m)
+    for t, c in enumerate(args[p]):
+        if c:
+            w = _ev(table, args[:p] + (t,) + args[p + 1:], m)
+            acc = vadd(acc, vscale(c, w))
+    return acc
+
+
+def _put(args, pos, x):
+    """args with x inserted before position pos."""
+    return args[:pos] + (x,) + args[pos:]
 
 
 class LieTriple2System:
@@ -74,50 +94,22 @@ class LieTriple2System:
             raise ValueError("h must be a %d-by-%d matrix" % (self.n0, self.n1))
         self.h = tuple(tuple(row) for row in h)
         n0, n1 = self.n0, self.n1
-        self.l3_000 = _freeze_tensor(l3_000, (n0, n0, n0), n0, "l3_000")
-        self.l3_100 = _freeze_tensor(l3_100, (n1, n0, n0), n1, "l3_100")
-        self.l3_010 = _freeze_tensor(l3_010, (n0, n1, n0), n1, "l3_010")
-        self.l3_001 = _freeze_tensor(l3_001, (n0, n0, n1), n1, "l3_001")
-        self.l5 = _freeze_tensor(l5, (n0,) * 5, n1, "l5")
+        self.l3_000 = dense_tensor(l3_000, (n0, n0, n0), n0, "l3_000 value")
+        self.l3_100 = dense_tensor(l3_100, (n1, n0, n0), n1, "l3_100 value")
+        self.l3_010 = dense_tensor(l3_010, (n0, n1, n0), n1, "l3_010 value")
+        self.l3_001 = dense_tensor(l3_001, (n0, n0, n1), n1, "l3_001 value")
+        self.l5 = dense_tensor(l5, (n0,) * 5, n1, "l5 value")
+        # the bracket tensors by the slot of the T1 argument (None: base)
+        self.tables = {None: self.l3_000, 0: self.l3_100, 1: self.l3_010,
+                       2: self.l3_001}
 
     # -- multilinear evaluation, args as basis indices or vectors ----------
 
-    def _ev(self, table, shape, args):
-        vecpos = [p for p, a in enumerate(args) if not isinstance(a, int)]
-        if not vecpos:
-            return table[tuple(args)]
-        outdim = len(next(iter(table.values())))
-        acc = [0] * outdim
-        ranges = [range(shape[p]) for p in vecpos]
-        for repl in itertools.product(*ranges):
-            coef = 1
-            for p, t in zip(vecpos, repl):
-                coef = coef * args[p][t]
-            if not coef:
-                continue
-            key = list(args)
-            for p, t in zip(vecpos, repl):
-                key[p] = t
-            v = table[tuple(key)]
-            for r in range(outdim):
-                if v[r]:
-                    acc[r] += coef * v[r]
-        return tuple(acc)
-
-    def ev000(self, x, y, z):
-        return self._ev(self.l3_000, (self.n0, self.n0, self.n0), (x, y, z))
-
-    def ev100(self, a, x, y):
-        return self._ev(self.l3_100, (self.n1, self.n0, self.n0), (a, x, y))
-
-    def ev010(self, x, a, y):
-        return self._ev(self.l3_010, (self.n0, self.n1, self.n0), (x, a, y))
-
-    def ev001(self, x, y, a):
-        return self._ev(self.l3_001, (self.n0, self.n0, self.n1), (x, y, a))
-
-    def ev5(self, *args):
-        return self._ev(self.l5, (self.n0,) * 5, args)
+    def l3(self, x, y, z, fiber=None):
+        """The graded bracket; ``fiber`` is the slot of the T1 argument, or
+        None for the base bracket."""
+        return _ev(self.tables[fiber], (x, y, z),
+                   self.n0 if fiber is None else self.n1)
 
     def h_vec(self, a):
         """h applied to a fiber basis index or vector."""
@@ -128,26 +120,14 @@ class LieTriple2System:
     def base_system(self):
         return LieTripleSystem(self.n0, self.l3_000)
 
-    def slot1_action(self):
-        """Matrices of the first-slot action: (x, y) -> l3(., x, y) on T1."""
-        n0, n1 = self.n0, self.n1
+    def slot_action(self, fiber):
+        """Matrices on T1 of (x, y) -> l3 with the T1 argument in slot
+        ``fiber`` and x, y in the other two slots, in order."""
+        n1, table = self.n1, self.tables[fiber]
         out = {}
-        for i in range(n0):
-            for j in range(n0):
-                out[(i, j)] = tuple(tuple(self.l3_100[(a, i, j)][r]
-                                          for a in range(n1))
-                                    for r in range(n1))
-        return out
-
-    def third_slot_action(self):
-        """Matrices of the third-slot pattern: (x, y) -> l3(x, y, .)."""
-        n0, n1 = self.n0, self.n1
-        out = {}
-        for i in range(n0):
-            for j in range(n0):
-                out[(i, j)] = tuple(tuple(self.l3_001[(i, j, a)][r]
-                                          for a in range(n1))
-                                    for r in range(n1))
+        for i, j in itertools.product(range(self.n0), repeat=2):
+            cols = [table[_put((i, j), fiber, a)] for a in range(n1)]
+            out[(i, j)] = tuple(tuple(c[r] for c in cols) for r in range(n1))
         return out
 
     def is_skeletal(self):
@@ -169,7 +149,7 @@ class Nijenhuis2Structure:
             raise ValueError("N1 must be %d-by-%d" % (self.n1, self.n1))
         self.N0 = tuple(tuple(row) for row in N0)
         self.N1 = tuple(tuple(row) for row in N1)
-        self.N2 = _freeze_tensor(N2, (self.n0,) * 3, self.n1, "N2")
+        self.N2 = dense_tensor(N2, (self.n0,) * 3, self.n1, "N2 value")
 
     def is_strict_part(self):
         return all(viszero(v) for v in self.N2.values())
@@ -178,24 +158,43 @@ class Nijenhuis2Structure:
 def associated_complex(sys2, nstr):
     """The cochain complex of (base system, first-slot action, N0, N1)."""
     base = sys2.base_system()
-    rep = Representation(base, sys2.n1, sys2.slot1_action())
+    rep = Representation(base, sys2.n1, sys2.slot_action(0))
     return Complex(base, rep, nstr.N0, nstr.N1)
 
 
 # ---------------------------------------------------------------------------
 # the eleven 2-system conditions
 
-def check_2system(sys2):
-    """All coherence conditions of a Lie triple 2-system, with witnesses."""
-    n0, n1 = sys2.n0, sys2.n1
-    s = sys2
-    v = []
+# The five-term defect F of the module docstring as (sign, inner, outer):
+# inner lists the argument positions of the inner bracket, outer those of
+# the outer bracket, with None where the inner bracket goes.
+_FIVE_TERMS = (
+    (-1, (2, 3, 4), (0, 1, None)),
+    (1, (0, 1, 3), (2, None, 4)),
+    (1, (0, 1, 2), (None, 3, 4)),
+    (1, (0, 1, 4), (2, 3, None)),
+)
 
+# L3 compares [h a, b, x] with [a, h b, x] for a, b in the named slot pair
+_L3_PAIRS = (("first", 0, 1), ("second", 0, 2), ("third", 1, 2))
+
+
+def _recorder(v):
+    """The witness recorder of a checker, appending to the list v."""
     def bad(cond, at, lhs, rhs=None):
         entry = {"condition": cond, "at": at, "lhs": lhs}
         if rhs is not None:
             entry["rhs"] = rhs
         v.append(entry)
+    return bad
+
+
+def check_2system(sys2):
+    """All coherence conditions of a Lie triple 2-system, with witnesses."""
+    n0, n1 = sys2.n0, sys2.n1
+    s = sys2
+    v = []
+    bad = _recorder(v)
 
     # L1: antisymmetry in the first two slots, in every grading
     for i, j, k in itertools.product(range(n0), repeat=3):
@@ -216,7 +215,7 @@ def check_2system(sys2):
         ha = s.h_vec(a)
         for j, k in itertools.product(range(n0), repeat=2):
             lhs = matvec(s.h, s.l3_100[(a, j, k)])
-            rhs = s.ev000(ha, j, k)
+            rhs = s.l3(ha, j, k)
             if lhs != rhs:
                 bad("L2", (a, j, k), lhs, rhs)
 
@@ -224,18 +223,11 @@ def check_2system(sys2):
     for a, b in itertools.product(range(n1), repeat=2):
         ha, hb = s.h_vec(a), s.h_vec(b)
         for x in range(n0):
-            lhs = s.ev010(ha, b, x)
-            rhs = s.ev100(a, hb, x)
-            if lhs != rhs:
-                bad("L3-first", (a, b, x), lhs, rhs)
-            lhs = s.ev001(ha, x, b)
-            rhs = s.ev100(a, x, hb)
-            if lhs != rhs:
-                bad("L3-second", (a, b, x), lhs, rhs)
-            lhs = s.ev001(x, ha, b)
-            rhs = s.ev010(x, a, hb)
-            if lhs != rhs:
-                bad("L3-third", (a, b, x), lhs, rhs)
+            for name, p, q in _L3_PAIRS:
+                lhs = s.l3(*_put(_put((x,), p, ha), q, b), fiber=q)
+                rhs = s.l3(*_put(_put((x,), p, a), q, hb), fiber=p)
+                if lhs != rhs:
+                    bad("L3-" + name, (a, b, x), lhs, rhs)
 
     # L4: cyclic sums, in every grading
     for i, j, k in itertools.product(range(n0), repeat=3):
@@ -250,72 +242,54 @@ def check_2system(sys2):
             if not viszero(w):
                 bad("L4-mixed-cyclic", (i, j, a), w)
 
-    # L5: h of l5 measures the base five-term defect
+    # L5..L10: l5, through h, measures the five-term defect F.  plans[f]
+    # reads each term of F with the T1 argument at position f (None: no T1
+    # argument): its sign, the inner bracket's key and table, the outer
+    # bracket's key and table, and the slot of the outer key that the
+    # inner bracket fills (the key holds a placeholder there).
+    plans = {}
+    for fiber in (None, 0, 1, 2, 3, 4):
+        plans[fiber] = []
+        for sign, inner, outer in _FIVE_TERMS:
+            pos = outer.index(None)
+            fin = inner.index(fiber) if fiber in inner else None
+            fout = None if fiber is None else outer.index(
+                None if fiber in inner else fiber)
+            okey = itemgetter(*(0 if p is None else p for p in outer))
+            plans[fiber].append((sign, itemgetter(*inner), s.tables[fin],
+                                 okey, s.tables[fout], pos))
+
+    def five_term(args, fiber):
+        """F at basis indices args, the T1 argument at position fiber."""
+        m = n0 if fiber is None else n1
+        acc = [0] * m
+        for sign, inner, tin, outer, tout, pos in plans[fiber]:
+            v = insert_in_slot(tout, outer(args), pos, tin[inner(args)], m)
+            for r in range(m):
+                acc[r] += sign * v[r]
+        return tuple(acc)
+
     for t in itertools.product(range(n0), repeat=5):
-        x1, x2, x3, x4, x5 = t
         lhs = matvec(s.h, s.l5[t])
-        rhs = vscale(-1, s.ev000(x1, x2, s.l3_000[(x3, x4, x5)]))
-        rhs = vadd(rhs, s.ev000(x3, s.l3_000[(x1, x2, x4)], x5))
-        rhs = vadd(rhs, s.ev000(s.l3_000[(x1, x2, x3)], x4, x5))
-        rhs = vadd(rhs, s.ev000(x3, x4, s.l3_000[(x1, x2, x5)]))
+        rhs = five_term(t, None)
         if lhs != rhs:
             bad("L5", t, lhs, rhs)
-
-    # L6..L10: l5 on h(a) in each slot equals the mixed five-term defect
     for a in range(n1):
         ha = s.h_vec(a)
         for t in itertools.product(range(n0), repeat=4):
-            y2, y3, y4, y5 = t
-            lhs = s.ev5(ha, y2, y3, y4, y5)
-            rhs = vscale(-1, s.ev100(a, y2, s.l3_000[(y3, y4, y5)]))
-            rhs = vadd(rhs, s.ev010(y3, s.l3_100[(a, y2, y4)], y5))
-            rhs = vadd(rhs, s.ev100(s.l3_100[(a, y2, y3)], y4, y5))
-            rhs = vadd(rhs, s.ev001(y3, y4, s.l3_100[(a, y2, y5)]))
-            if lhs != rhs:
-                bad("L6", (a,) + t, lhs, rhs)
-
-            y1, y3, y4, y5 = t
-            lhs = s.ev5(y1, ha, y3, y4, y5)
-            rhs = vscale(-1, s.ev010(y1, a, s.l3_000[(y3, y4, y5)]))
-            rhs = vadd(rhs, s.ev010(y3, s.l3_010[(y1, a, y4)], y5))
-            rhs = vadd(rhs, s.ev100(s.l3_010[(y1, a, y3)], y4, y5))
-            rhs = vadd(rhs, s.ev001(y3, y4, s.l3_010[(y1, a, y5)]))
-            if lhs != rhs:
-                bad("L7", (y1, a, y3, y4, y5), lhs, rhs)
-
-            y1, y2, y4, y5 = t
-            lhs = s.ev5(y1, y2, ha, y4, y5)
-            rhs = vscale(-1, s.ev001(y1, y2, s.l3_100[(a, y4, y5)]))
-            rhs = vadd(rhs, s.ev100(a, s.l3_000[(y1, y2, y4)], y5))
-            rhs = vadd(rhs, s.ev100(s.l3_001[(y1, y2, a)], y4, y5))
-            rhs = vadd(rhs, s.ev100(a, y4, s.l3_000[(y1, y2, y5)]))
-            if lhs != rhs:
-                bad("L8", (y1, y2, a, y4, y5), lhs, rhs)
-
-            y1, y2, y3, y5 = t
-            lhs = s.ev5(y1, y2, y3, ha, y5)
-            rhs = vscale(-1, s.ev001(y1, y2, s.l3_010[(y3, a, y5)]))
-            rhs = vadd(rhs, s.ev010(y3, s.l3_001[(y1, y2, a)], y5))
-            rhs = vadd(rhs, s.ev010(s.l3_000[(y1, y2, y3)], a, y5))
-            rhs = vadd(rhs, s.ev010(y3, a, s.l3_000[(y1, y2, y5)]))
-            if lhs != rhs:
-                bad("L9", (y1, y2, y3, a, y5), lhs, rhs)
-
-            y1, y2, y3, y4 = t
-            lhs = s.ev5(y1, y2, y3, y4, ha)
-            rhs = vscale(-1, s.ev001(y1, y2, s.l3_001[(y3, y4, a)]))
-            rhs = vadd(rhs, s.ev001(y3, s.l3_000[(y1, y2, y4)], a))
-            rhs = vadd(rhs, s.ev001(s.l3_000[(y1, y2, y3)], y4, a))
-            rhs = vadd(rhs, s.ev001(y3, y4, s.l3_001[(y1, y2, a)]))
-            if lhs != rhs:
-                bad("L10", (y1, y2, y3, y4, a), lhs, rhs)
+            for p in range(5):
+                at = _put(t, p, a)
+                lhs = insert_in_slot(s.l5, at, p, ha, n1)
+                rhs = five_term(at, p)
+                if lhs != rhs:
+                    bad("L%d" % (6 + p), at, lhs, rhs)
 
     # L11: l5 is a cocycle of Yamaguti's coboundary for the first-slot
     # action, the third-slot family and the base bracket
     ins = lambda f, args, pos, key: insert_in_slot(f, args, pos,
                                                    s.l3_000[key], n1)
-    dl5 = yamaguti_coboundary(s.l5, 5, n0, n1, s.slot1_action(),
-                              s.third_slot_action(), ins)
+    dl5 = yamaguti_coboundary(s.l5, 5, n0, n1, s.slot_action(0),
+                              s.slot_action(2), ins)
     for t, w in dl5.items():
         if not viszero(w):
             bad("L11", t, w)
@@ -344,12 +318,7 @@ def check_nijenhuis_2system(sys2, nstr):
     s = sys2
     N0, N1, N2 = nstr.N0, nstr.N1, nstr.N2
     v = []
-
-    def bad(cond, at, lhs, rhs=None):
-        entry = {"condition": cond, "at": at, "lhs": lhs}
-        if rhs is not None:
-            entry["rhs"] = rhs
-        v.append(entry)
+    bad = _recorder(v)
 
     # (a) the operators commute with h
     comm = matsub(matmul(N0, s.h), matmul(s.h, N1))
@@ -367,7 +336,8 @@ def check_nijenhuis_2system(sys2, nstr):
 
     # (d): the base Nijenhuis defect is -h(N2)
     base = s.base_system()
-    for t, (a3, _, _, p2) in telescoped_brackets(base, N0).items():
+    parts = telescoped_brackets(base, N0)
+    for t, (a3, _, _, p2) in parts.items():
         lhs = vsub(a3, matvec(N0, p2))
         rhs = vscale(-1, matvec(s.h, N2[t]))
         if lhs != rhs:
@@ -382,17 +352,13 @@ def check_nijenhuis_2system(sys2, nstr):
             defects[(i, j)] = matsub(rhs, lhs)
         return defects
 
-    dD = act_defect(s.third_slot_action())
-    dT = act_defect(s.slot1_action())
+    dD = act_defect(s.slot_action(2))
+    dT = act_defect(s.slot_action(0))
     theta_agrees = True
     for i, j in itertools.product(range(n0), repeat=2):
         for a in range(n1):
             lhs = tuple(dD[(i, j)][r][a] for r in range(n1))
-            ha = s.h_vec(a)
-            rhs = vzero(n1)
-            for k in range(n0):
-                if ha[k]:
-                    rhs = vadd(rhs, vscale(ha[k], N2[(i, j, k)]))
+            rhs = _ev(N2, (i, j, s.h_vec(a)), n1)
             if lhs != rhs:
                 bad("fiber-defect", (i, j, a), lhs, rhs)
             lhs_t = tuple(dT[(i, j)][r][a] for r in range(n1))
@@ -400,16 +366,13 @@ def check_nijenhuis_2system(sys2, nstr):
                 theta_agrees = False
 
     # (f): the five-argument condition, as the degree-5 pair differential
-    cx = associated_complex(sys2, nstr)
-    f5 = normalize_cochain(s.l5, n0, n1, 5)
-    g3 = normalize_cochain(N2, n0, n1, 3)
-    _, second = cx.d(f5, g3, 5)
+    second = associated_complex(sys2, nstr).d_second(s.l5, N2, 5)
     for t in sorted(second):
         if not viszero(second[t]):
             bad("five-argument", t, second[t])
 
     expanded_agrees = _expanded_five_condition_agrees(
-        sys2, nstr, cx, second)
+        sys2, nstr, parts, second)
 
     report = Report(not v, v)
     report.data["skeletal"] = s.is_skeletal()
@@ -427,35 +390,32 @@ def check_nijenhuis_2system(sys2, nstr):
     return report
 
 
-def _expanded_five_condition_agrees(sys2, nstr, cx, semantic_second):
+def _expanded_five_condition_agrees(sys2, nstr, parts, semantic_second):
     """Compare the expanded classical five-argument identity with the
-    differential-based condition, pointwise over basis tuples."""
+    differential-based condition, pointwise over basis tuples; ``parts``
+    is ``telescoped_brackets`` of the base system and N0."""
     s = sys2
     n0 = s.n0
     N0, N1, N2 = nstr.N0, nstr.N1, nstr.N2
-    base = s.base_system()
-    e0 = [base.basis_vector(i) for i in range(n0)]
-    parts = telescoped_brackets(base, N0)
-
-    def p2(i, j, k):
-        return parts[(i, j, k)][3]
+    columns = [tuple(row[i] for row in N0) for i in range(n0)]
+    p2 = {t: p[3] for t, p in parts.items()}
 
     def n2v(x, y, z):
-        return s._ev(nstr.N2, (n0, n0, n0), (x, y, z))
+        return _ev(N2, (x, y, z), s.n1)
 
     literal_holds = True
     for t in itertools.product(range(n0), repeat=5):
         x1, x2, x3, x4, x5 = t
-        Nx = [matvec(N0, e0[i]) for i in (x1, x2, x3, x4, x5)]
-        w = s.ev5(*Nx)
-        w = vadd(w, s.ev100(N2[(x1, x2, x3)], Nx[3], Nx[4]))
-        w = vadd(w, s.ev010(Nx[2], N2[(x1, x2, x4)], Nx[4]))
-        w = vadd(w, s.ev001(Nx[2], Nx[3], N2[(x1, x2, x5)]))
-        w = vadd(w, n2v(p2(x1, x2, x3), x4, x5))
-        w = vadd(w, n2v(x3, p2(x1, x2, x4), x5))
-        w = vadd(w, n2v(x3, x4, p2(x1, x2, x5)))
-        w = vsub(w, s.ev001(Nx[0], Nx[1], N2[(x3, x4, x5)]))
-        w = vsub(w, n2v(x1, x2, p2(x3, x4, x5)))
+        Nx = [columns[i] for i in t]
+        w = _ev(s.l5, tuple(Nx), s.n1)
+        w = vadd(w, s.l3(N2[(x1, x2, x3)], Nx[3], Nx[4], fiber=0))
+        w = vadd(w, s.l3(Nx[2], N2[(x1, x2, x4)], Nx[4], fiber=1))
+        w = vadd(w, s.l3(Nx[2], Nx[3], N2[(x1, x2, x5)], fiber=2))
+        w = vadd(w, n2v(p2[(x1, x2, x3)], x4, x5))
+        w = vadd(w, n2v(x3, p2[(x1, x2, x4)], x5))
+        w = vadd(w, n2v(x3, x4, p2[(x1, x2, x5)]))
+        w = vsub(w, s.l3(Nx[0], Nx[1], N2[(x3, x4, x5)], fiber=2))
+        w = vsub(w, n2v(x1, x2, p2[(x3, x4, x5)]))
         w = vsub(w, matvec(N1, s.l5[t]))
         if not viszero(w):
             literal_holds = False
@@ -587,13 +547,14 @@ def strict_to_crossed_module(sys2, nstr):
     """
     if not (sys2.is_strict() and nstr.is_strict_part()):
         raise ValueError("the structure is not strict (l5 or N2 is nonzero)")
-    n0, n1 = sys2.n0, sys2.n1
+    n1 = sys2.n1
     fiber_table = {}
     for a, b, c in itertools.product(range(n1), repeat=3):
-        fiber_table[(a, b, c)] = sys2.ev001(sys2.h_vec(a), sys2.h_vec(b), c)
+        fiber_table[(a, b, c)] = sys2.l3(sys2.h_vec(a), sys2.h_vec(b), c,
+                                         fiber=2)
     base = sys2.base_system()
     return CrossedModule(base, nstr.N0, n1, fiber_table, sys2.h,
-                         sys2.slot1_action(), nstr.N1)
+                         sys2.slot_action(0), nstr.N1)
 
 
 def crossed_module_to_strict(xm):

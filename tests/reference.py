@@ -674,6 +674,115 @@ def partial_tilde(g, deg, ctx):
 
 
 # ---------------------------------------------------------------------------
+# Lie triple 2-systems, through one graded bracket on T0 + T1
+
+def graded_bracket(n0, tensors, X, Y, Z):
+    """[X, Y, Z] for vectors X, Y, Z on T0 + T1 (base coordinates first).
+
+    ``tensors`` maps the slot of the T1 argument (None: no T1 argument)
+    to the bracket tensor keyed by base and fiber indices; terms with two
+    or more T1 arguments are zero.  The value lands in T0 on base
+    arguments and in T1 with one fiber argument.
+    """
+    acc = [0] * len(X)
+    support = [[(p, c) for p, c in enumerate(V) if c] for V in (X, Y, Z)]
+    for (p, x), (q, y), (r, z) in itertools.product(*support):
+        c = x * y * z
+        fibers = [s for s, idx in enumerate((p, q, r)) if idx >= n0]
+        if len(fibers) > 1:
+            continue
+        slot = fibers[0] if fibers else None
+        key = tuple(idx - n0 if idx >= n0 else idx for idx in (p, q, r))
+        offset = 0 if slot is None else n0
+        for a, x in enumerate(tensors[slot][key]):
+            acc[offset + a] += c * x
+    return tuple(acc)
+
+
+def twosys_defect(n0, n1, h, l3_000, l3_100, l3_010, l3_001, l5):
+    """Witnesses (condition, at, lhs, rhs) of L1-L10 of a Lie triple
+    2-system, rhs None for conditions stated as one vanishing sum.
+
+    Every condition is read off the graded bracket on T0 + T1: L1 and L4
+    are antisymmetry and cyclic sums, L2 and L3 compare h with the
+    bracket, and L5-L10 compare l5 with the five-term defect
+    -[y1,y2,[y3,y4,y5]] + [y3,[y1,y2,y4],y5] + [[y1,y2,y3],y4,y5]
+    + [y3,y4,[y1,y2,y5]] on base arguments (through h) and with one
+    fiber argument a (l5 with h(a) in its place).
+    """
+    tensors = {None: l3_000, 0: l3_100, 1: l3_010, 2: l3_001}
+    size = n0 + n1
+    E = [basis(size, i) for i in range(n0)]
+    F = [basis(size, n0 + a) for a in range(n1)]
+    hcol = [tuple(h[r][a] for r in range(n0)) for a in range(n1)]
+    HF = [hcol[a] + vzero(n1) for a in range(n1)]
+
+    def br(X, Y, Z):
+        return graded_bracket(n0, tensors, X, Y, Z)
+
+    def five(Y1, Y2, Y3, Y4, Y5):
+        v = vscale(-1, br(Y1, Y2, br(Y3, Y4, Y5)))
+        v = vadd(v, br(Y3, br(Y1, Y2, Y4), Y5))
+        v = vadd(v, br(br(Y1, Y2, Y3), Y4, Y5))
+        return vadd(v, br(Y3, Y4, br(Y1, Y2, Y5)))
+
+    base, fiber = (lambda v: v[:n0]), (lambda v: v[n0:])
+    out = []
+
+    def sums(cond, at, part, *terms):
+        w = part(terms[0])
+        for t in terms[1:]:
+            w = vadd(w, part(t))
+        if not viszero(w):
+            out.append((cond, at, w, None))
+
+    def compare(cond, at, lhs, rhs):
+        if lhs != rhs:
+            out.append((cond, at, lhs, rhs))
+
+    pairs = list(itertools.product(range(n0), repeat=2))
+    for i, j, k in itertools.product(range(n0), repeat=3):
+        sums("L1-base-antisymmetry", (i, j, k), base,
+             br(E[i], E[j], E[k]), br(E[j], E[i], E[k]))
+    for i, j in pairs:
+        for a in range(n1):
+            sums("L1-third-slot-antisymmetry", (i, j, a), fiber,
+                 br(E[i], E[j], F[a]), br(E[j], E[i], F[a]))
+            sums("L1-mixed-antisymmetry", (a, i, j), fiber,
+                 br(F[a], E[i], E[j]), br(E[i], F[a], E[j]))
+    for a in range(n1):
+        for j, k in pairs:
+            compare("L2", (a, j, k), matvec(h, fiber(br(F[a], E[j], E[k]))),
+                    base(br(HF[a], E[j], E[k])))
+    for a, b in itertools.product(range(n1), repeat=2):
+        for x in range(n0):
+            compare("L3-first", (a, b, x), fiber(br(HF[a], F[b], E[x])),
+                    fiber(br(F[a], HF[b], E[x])))
+            compare("L3-second", (a, b, x), fiber(br(HF[a], E[x], F[b])),
+                    fiber(br(F[a], E[x], HF[b])))
+            compare("L3-third", (a, b, x), fiber(br(E[x], HF[a], F[b])),
+                    fiber(br(E[x], F[a], HF[b])))
+    for i, j, k in itertools.product(range(n0), repeat=3):
+        sums("L4-base-cyclic", (i, j, k), base, br(E[i], E[j], E[k]),
+             br(E[j], E[k], E[i]), br(E[k], E[i], E[j]))
+    for i, j in pairs:
+        for a in range(n1):
+            sums("L4-mixed-cyclic", (i, j, a), fiber, br(E[i], E[j], F[a]),
+                 br(E[j], F[a], E[i]), br(F[a], E[i], E[j]))
+    for t in itertools.product(range(n0), repeat=5):
+        compare("L5", t, matvec(h, l5[t]), base(five(*(E[i] for i in t))))
+    for a in range(n1):
+        for t in itertools.product(range(n0), repeat=4):
+            for s in range(5):
+                at = t[:s] + (a,) + t[s:]
+                args = [E[i] for i in t]
+                lhs = f_eval(l5, t[:s] + (hcol[a],) + t[s:], n0, n1)
+                rhs = fiber(five(*(args[:s] + [F[a]] + args[s:])))
+                compare("L%d" % (6 + s), at, lhs, rhs)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # ready-made contexts
 
 SOLV3_N = ((0, 0, 0), (0, 0, 0), (0, 1, 0))

@@ -1,6 +1,7 @@
 """Two-term graded systems, their operator structures, and the
 translations to degree-5 pairs and crossed modules."""
 
+from fractions import Fraction
 import itertools
 
 import pytest
@@ -97,10 +98,10 @@ def test_dictionary_tensors(cx_l2_adj):
     for i, j in itertools.product(range(2), repeat=2):
         for a in range(2):
             col = tuple(th[(i, j)][r][a] for r in range(2))
-            assert sys2.ev100(a, i, j) == col
-            assert sys2.ev010(i, a, j) == tuple(-x for x in col)
+            assert sys2.l3(a, i, j, fiber=0) == col
+            assert sys2.l3(i, a, j, fiber=1) == tuple(-x for x in col)
             D = cx.rep.D(i, j)
-            assert sys2.ev001(i, j, a) == tuple(D[r][a] for r in range(2))
+            assert sys2.l3(i, j, a, fiber=2) == tuple(D[r][a] for r in range(2))
 
 
 def test_five_argument_condition_fails_for_bad_n2(cx_l2_adj):
@@ -181,6 +182,56 @@ def test_l11_witnesses_match_oracle_coboundary(cx_l2_adj):
     found = [_l11_witnesses(s) for s in (sys2, corrupt)]
     assert found[0] and found[1] and found[0] != found[1]
     assert found == [_oracle_l11(s) for s in (sys2, corrupt)]
+
+
+def _identity_strict(system, n, N):
+    """The strict 2-system (h = identity) of the identity crossed module."""
+    xm = CrossedModule(system, N, n, system.table, ident(n),
+                       adjoint_rep(system).theta, N)
+    return crossed_module_to_strict(xm)[0]
+
+
+TENSORS = ("l3_000", "l3_100", "l3_010", "l3_001", "l5")
+
+
+def _corrupted(sys2, field, key):
+    """sys2 with one entry of a tensor, or of h, replaced."""
+    parts = {name: dict(getattr(sys2, name)) for name in TENSORS}
+    h = [list(row) for row in sys2.h]
+    if field == "h":
+        h[key[0]][key[1]] = Fraction(-1, 2)
+    else:
+        n = len(parts[field][key])
+        parts[field][key] = tuple(Fraction(c + 1, 2) for c in range(n))
+    return LieTriple2System(sys2.n0, sys2.n1, h,
+                            *(parts[name] for name in TENSORS))
+
+
+CORRUPTIONS = (
+    ("l3_000", (0, 1, 1)),
+    ("l3_100", (1, 0, 1)),
+    ("l3_010", (0, 1, 1)),
+    ("l3_001", (1, 0, 0)),
+    ("l5", (0, 1, 0, 1, 1)),
+    ("h", (0, 1)),
+)
+
+
+@pytest.mark.parametrize("name", ["l2", "sl2"])
+def test_coherence_witnesses_match_graded_bracket_oracle(name):
+    system = l2() if name == "l2" else lts_from_lie_algebra(sl2_lie())
+    n = system.dim
+    strict = _identity_strict(system, n, ident(n))
+    fired = set()
+    for sys2 in [strict] + [_corrupted(strict, *c) for c in CORRUPTIONS]:
+        found = [(item["condition"], item["at"], item["lhs"], item.get("rhs"))
+                 for item in check_2system(sys2).violations
+                 if item["condition"] != "L11"]
+        want = ref.twosys_defect(sys2.n0, sys2.n1, sys2.h,
+                                 *(dict(getattr(sys2, t)) for t in TENSORS))
+        assert found == want
+        fired |= {cond.split("-")[0] for cond, _, _, _ in found}
+    assert fired == {"L%d" % k for k in range(1, 11)}
 
 
 def test_identity_crossed_module():
