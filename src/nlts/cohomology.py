@@ -250,10 +250,8 @@ class Complex:
                   for i in range(n) for j in range(n)}
         self.thetaN = deformed_theta(rep, self.N, self.Nv)
         self.DN = {(i, j): self._dn(i, j) for i in range(n) for j in range(n)}
-        parts = telescoped_brackets(system, self.N)
-        self.p0 = {t: p0 for t, (_, p0, _, _) in parts.items()}
-        self.p1 = {t: p1 for t, (_, _, p1, _) in parts.items()}
-        self.p2 = {t: p2 for t, (_, _, _, p2) in parts.items()}
+        # (a3, p0, p1, p2) per basis triple, see telescoped_brackets
+        self._parts = telescoped_brackets(system, self.N)
         self._dcols = {}
         self._rank = {}
 
@@ -265,9 +263,10 @@ class Complex:
     def _tele(self, f, args, pos, key):
         """Alternating insertion of the three graded brackets at one slot."""
         Nv = self.Nv
-        ins = lambda p: insert_in_slot(f, args, pos, p[key], self.m)
-        v = vsub(ins(self.p2), matvec(Nv, ins(self.p1)))
-        return vadd(v, matvec(Nv, matvec(Nv, ins(self.p0))))
+        _, p0, p1, p2 = self._parts[key]
+        ins = lambda p: insert_in_slot(f, args, pos, p, self.m)
+        v = vsub(ins(p2), matvec(Nv, ins(p1)))
+        return vadd(v, matvec(Nv, matvec(Nv, ins(p0))))
 
     # -- the three operators ------------------------------------------------
 
@@ -275,7 +274,8 @@ class Complex:
         """Yamaguti coboundary of the underlying structure (degree +2)."""
         f = normalize_cochain(f, self.n, self.m, degree)
         ins = lambda g, args, pos, key: insert_in_slot(g, args, pos,
-                                                       self.p0[key], self.m)
+                                                       self._parts[key][1],
+                                                       self.m)
         return yamaguti_coboundary(f, degree, self.n, self.m, self.theta,
                                    self.D, ins)
 

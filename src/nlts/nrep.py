@@ -1,24 +1,29 @@
 """Nijenhuis structures on representations and the deformed action.
 
 A Nijenhuis representation adds to a representation (V, theta) a pair of
-operators: N on the base system and Nv on V, subject to the
+operators, N on the base system and Nv on V.  With
+
+  I(x,y)       = theta(Nx,y) + theta(x,Ny) - Nv theta(x,y),
+  theta_N(x,y) = theta(Nx,Ny) - Nv I(x,y),
+
+where theta_N is the deformed action, the pair is subject to the
 compatibility identity (for all x, y)
 
-  theta(Nx,Ny) Nv = Nv ( theta(Nx,Ny) + theta(Nx,y) Nv + theta(x,Ny) Nv
-                         - Nv theta(Nx,y) - Nv theta(x,Ny)
-                         - Nv theta(x,y) Nv + Nv^2 theta(x,y) ).
+  theta(Nx,Ny) Nv = Nv ( theta_N(x,y) + I(x,y) Nv ),
 
-Such a pair deforms the action to
-
-  theta_N(x,y) = theta(Nx,Ny) - Nv ( theta(Nx,y) + theta(x,Ny)
-                                     - Nv theta(x,y) ).
+whose right side expands to Nv ( theta(Nx,Ny) + theta(Nx,y) Nv
++ theta(x,Ny) Nv - Nv theta(Nx,y) - Nv theta(x,Ny) - Nv theta(x,y) Nv
++ Nv^2 theta(x,y) ).
 
 The pair (theta_N, Nv) always satisfies the compatibility identity again,
 now read over the deformed bracket [.,.,.]_N.  Whether theta_N also
 satisfies the two representation identities of the deformed system
-depends on the inputs (it does for the stock examples on the
-two-dimensional system, but fails for some square-zero operators in
-dimension three); run check_representation on the result to find out.
+depends on the inputs.  It does for the stock examples on the
+two-dimensional system.  It does not for the adjoint representation of
+the solvable three-dimensional system with N = Nv the square-zero
+operator e2 -> e3 (the other basis vectors go to 0): check_representation
+finds 4 violations there.  Run check_representation on the result to
+find out.
 """
 
 import itertools
@@ -35,20 +40,23 @@ def _check_fiber_operator(rep, Nv):
     return tuple(tuple(row) for row in Nv)
 
 
-def compatibility_sides(rep, N, Nv, i, j):
-    """Both sides of the compatibility identity at the basis pair (e_i, e_j)."""
+def _deformed_parts(rep, N, Nv, i, j):
+    """theta(Nx,Ny), I = theta(Nx,y) + theta(x,Ny) - Nv theta(x,y) and
+    theta_N(x,y) = theta(Nx,Ny) - Nv I at the basis pair (e_i, e_j)."""
     x, y = rep.base.basis_vector(i), rep.base.basis_vector(j)
     Nx, Ny = matvec(N, x), matvec(N, y)
     tNN = rep.theta_vecs(Nx, Ny)
-    tNy = rep.theta_vecs(Nx, y)
-    txN = rep.theta_vecs(x, Ny)
-    txy = rep.theta[(i, j)]
-    inner = matadd(tNN, matadd(matmul(tNy, Nv), matmul(txN, Nv)))
-    inner = matsub(inner, matmul(Nv, tNy))
-    inner = matsub(inner, matmul(Nv, txN))
-    inner = matsub(inner, matmul(Nv, matmul(txy, Nv)))
-    inner = matadd(inner, matmul(matmul(Nv, Nv), txy))
-    return matmul(tNN, Nv), matmul(Nv, inner)
+    inner = matadd(rep.theta_vecs(Nx, y), rep.theta_vecs(x, Ny))
+    inner = matsub(inner, matmul(Nv, rep.theta[(i, j)]))
+    return tNN, inner, matsub(tNN, matmul(Nv, inner))
+
+
+def compatibility_sides(rep, N, Nv, i, j):
+    """Both sides of the compatibility identity at the basis pair (e_i, e_j):
+    theta(Nx,Ny) Nv and Nv (theta_N(x,y) + I Nv), with I as in
+    ``_deformed_parts``."""
+    tNN, inner, thetaN = _deformed_parts(rep, N, Nv, i, j)
+    return matmul(tNN, Nv), matmul(Nv, matadd(thetaN, matmul(inner, Nv)))
 
 
 def check_nijenhuis_rep(rep, N, Nv):
@@ -67,19 +75,11 @@ def check_nijenhuis_rep(rep, N, Nv):
 
 def deformed_theta(rep, N, Nv):
     """The deformed action theta_N as a dict over basis pairs."""
-    system = rep.base
-    n = system.dim
-    N = _check_operator(system, N)
+    n = rep.base.dim
+    N = _check_operator(rep.base, N)
     Nv = _check_fiber_operator(rep, Nv)
-    e = [system.basis_vector(i) for i in range(n)]
-    out = {}
-    for i, j in itertools.product(range(n), repeat=2):
-        Nx, Ny = matvec(N, e[i]), matvec(N, e[j])
-        tNN = rep.theta_vecs(Nx, Ny)
-        inner = matadd(rep.theta_vecs(Nx, e[j]), rep.theta_vecs(e[i], Ny))
-        inner = matsub(inner, matmul(Nv, rep.theta[(i, j)]))
-        out[(i, j)] = matsub(tNN, matmul(Nv, inner))
-    return out
+    return {(i, j): _deformed_parts(rep, N, Nv, i, j)[2]
+            for i, j in itertools.product(range(n), repeat=2)}
 
 
 def induce_rep(rep, N, Nv):

@@ -783,6 +783,132 @@ def twosys_defect(n0, n1, h, l3_000, l3_100, l3_010, l3_001, l5):
 
 
 # ---------------------------------------------------------------------------
+# Nijenhuis structures (N0, N1, N2) on Lie triple 2-systems
+
+def first_slot_theta(n0, n1, l3_100):
+    """theta(e_i, e_j) on T1 read from the first-slot tensor: its column a
+    is l3_100[(a, i, j)]."""
+    return {(i, j): tuple(tuple(l3_100[(a, i, j)][r] for a in range(n1))
+                          for r in range(n1))
+            for i, j in itertools.product(range(n0), repeat=2)}
+
+
+def _total(n0, n1, base=None, fiber=None):
+    """The vector of T0 + T1 with the given parts (None: zero)."""
+    return (vzero(n0) if base is None else tuple(base)) + \
+        (vzero(n1) if fiber is None else tuple(fiber))
+
+
+def nijenhuis_2system_defect(n0, n1, h, l3_000, l3_100, l3_010, l3_001, l5,
+                             N0, N1, N2):
+    """Witnesses (condition, at, lhs, rhs) of conditions (a)-(f) of a
+    Nijenhuis structure (N0, N1, N2) on a Lie triple 2-system, rhs None
+    for conditions stated as one vanishing value.
+
+    (a) N0 h = h N1; (b), (c) antisymmetry and cyclic sum of N2.  (d) and
+    (e) read the Nijenhuis torsion T(X, Y, Z) = [NX, NY, NZ] - N [X, Y, Z]_N
+    of the total operator N = N0 + N1 on the graded bracket: on base
+    arguments T = -h N2, and with the fiber argument a in the third slot
+    -T = N2(., ., h(a)).  (f) is the second component of the degree-5
+    pair differential d(l5, N2) = partial N2 - phi l5 of the complex of
+    (base system, first-slot action, N0, N1).
+    """
+    tensors = {None: l3_000, 0: l3_100, 1: l3_010, 2: l3_001}
+    size = n0 + n1
+    E = [basis(size, i) for i in range(n0)]
+    F = [basis(size, n0 + a) for a in range(n1)]
+    hcol = [tuple(h[r][a] for r in range(n0)) for a in range(n1)]
+
+    def br(X, Y, Z):
+        return graded_bracket(n0, tensors, X, Y, Z)
+
+    def op(X):
+        return _total(n0, n1, matvec(N0, X[:n0]), matvec(N1, X[n0:]))
+
+    def torsion(X, Y, Z):
+        NX, NY, NZ = op(X), op(Y), op(Z)
+        a2 = vadd(vadd(br(NX, NY, Z), br(X, NY, NZ)), br(NX, Y, NZ))
+        a1 = vadd(vadd(br(NX, Y, Z), br(X, NY, Z)), br(X, Y, NZ))
+        deformed = vadd(vsub(a2, op(a1)), op(op(br(X, Y, Z))))
+        return vsub(br(NX, NY, NZ), op(deformed))
+
+    out = []
+    comm = matsub(matmul(N0, h), matmul(h, N1))
+    if not mat_iszero(comm):
+        out.append(("operator-h-commutation", None, comm, None))
+    for i, j, k in itertools.product(range(n0), repeat=3):
+        w = vadd(N2[(i, j, k)], N2[(j, i, k)])
+        if not viszero(w):
+            out.append(("N2-antisymmetry", (i, j, k), w, None))
+        w = vadd(vadd(N2[(i, j, k)], N2[(j, k, i)]), N2[(k, i, j)])
+        if not viszero(w):
+            out.append(("N2-cyclic", (i, j, k), w, None))
+    for t in itertools.product(range(n0), repeat=3):
+        lhs = torsion(*(E[i] for i in t))[:n0]
+        rhs = vscale(-1, matvec(h, N2[t]))
+        if lhs != rhs:
+            out.append(("base-defect", t, lhs, rhs))
+    for i, j in itertools.product(range(n0), repeat=2):
+        for a in range(n1):
+            lhs = vscale(-1, torsion(E[i], E[j], F[a])[n0:])
+            rhs = f_eval(N2, (i, j, hcol[a]), n0, n1)
+            if lhs != rhs:
+                out.append(("fiber-defect", (i, j, a), lhs, rhs))
+    ctx = Ctx(n0, l3_000, first_slot_theta(n0, n1, l3_100), n1, N0, N1)
+    pg = partial_tilde(N2, 3, ctx)
+    ph = phi_subsets(l5, 5, n0, n1, N0, N1)
+    for t in sorted(ph):
+        w = vsub(pg[t], ph[t])
+        if not viszero(w):
+            out.append(("five-argument", t, w, None))
+    return out
+
+
+def expanded_five_condition_holds(n0, n1, l3_000, l3_100, l3_010, l3_001,
+                                  l5, N0, N1, N2):
+    """The expanded classical form of the five-argument condition: for
+    all basis x1..x5, with p2 the deformed base bracket,
+
+      l5(Nx1,...,Nx5) + [N2(x1,x2,x3), Nx4, Nx5] + [Nx3, N2(x1,x2,x4), Nx5]
+      + [Nx3, Nx4, N2(x1,x2,x5)] + N2(p2(x1,x2,x3), x4, x5)
+      + N2(x3, p2(x1,x2,x4), x5) + N2(x3, x4, p2(x1,x2,x5))
+      - [Nx1, Nx2, N2(x3,x4,x5)] - N2(x1, x2, p2(x3,x4,x5)) - N1 l5(x) = 0.
+
+    Of the 2^5 terms of phi(l5) it keeps only l5(Nx1,...,Nx5) and -N1 l5(x)
+    where phi has -N1^5 l5(x), so it is not the second component of d.
+    """
+    tensors = {None: l3_000, 0: l3_100, 1: l3_010, 2: l3_001}
+    p2 = induced_bracket(n0, l3_000, N0)
+    cols = [_total(n0, n1, matvec(N0, basis(n0, i))) for i in range(n0)]
+
+    def br(X, Y, Z):
+        return graded_bracket(n0, tensors, X, Y, Z)[n0:]
+
+    def n2(t):
+        return _total(n0, n1, None, N2[t])
+
+    def n2v(*args):
+        return f_eval(N2, args, n0, n1)
+
+    for t in itertools.product(range(n0), repeat=5):
+        x1, x2, x3, x4, x5 = t
+        Nx = [cols[i] for i in t]
+        w = f_eval(l5, [X[:n0] for X in Nx], n0, n1)
+        w = vadd(w, br(n2((x1, x2, x3)), Nx[3], Nx[4]))
+        w = vadd(w, br(Nx[2], n2((x1, x2, x4)), Nx[4]))
+        w = vadd(w, br(Nx[2], Nx[3], n2((x1, x2, x5))))
+        w = vadd(w, n2v(p2[(x1, x2, x3)], x4, x5))
+        w = vadd(w, n2v(x3, p2[(x1, x2, x4)], x5))
+        w = vadd(w, n2v(x3, x4, p2[(x1, x2, x5)]))
+        w = vsub(w, br(Nx[0], Nx[1], n2((x3, x4, x5))))
+        w = vsub(w, n2v(x1, x2, p2[(x3, x4, x5)]))
+        w = vsub(w, matvec(N1, l5[t]))
+        if not viszero(w):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # ready-made contexts
 
 SOLV3_N = ((0, 0, 0), (0, 0, 0), (0, 1, 0))

@@ -4,6 +4,7 @@ import random
 
 import reference as ref
 from nlts import (
+    Representation,
     adjoint_rep,
     check_nijenhuis_rep,
     check_representation,
@@ -19,6 +20,7 @@ from nlts import (
     trivial_rep,
     zeros,
 )
+from nlts.nrep import compatibility_sides
 
 N01 = ((0, 1), (0, 1))
 SOLV3_N = ((0, 0, 0), (0, 0, 0), (0, 1, 0))
@@ -121,6 +123,41 @@ def test_induced_rep_on_solv3():
     assert check_nijenhuis_rep(induced, SOLV3_N, SOLV3_N).ok
     report = check_representation(induced)
     assert not report.ok and len(report.violations) == 4
+    # the oracle agrees: theta_N over the deformed bracket is no action
+    n, br = ref.mk_solv3_lts()
+    thetaN = ref.theta_deformed(n, ref.adjoint_theta(n, br), 3, SOLV3_N,
+                                SOLV3_N)
+    assert induced.theta == thetaN
+    assert not ref.check_rep_identities(
+        n, ref.induced_bracket(n, br, SOLV3_N), thetaN, 3)
+
+
+def test_compatibility_defect_of_derived_family():
+    # the defect rhs - lhs of the compatibility identity is linear in the
+    # action, and the action with swapped arguments has at (i, j) the
+    # defect of the action at (j, i); so the derived family
+    # D(i, j) = theta(j, i) - theta(i, j) has the defect
+    # defect_theta(j, i) - defect_theta(i, j)
+    s3 = lts_from_lie_algebra(solv3_lie())
+    rng = random.Random(23)
+
+    def entries(rows, cols):
+        return tuple(tuple(rng.randint(-2, 2) for _ in range(cols))
+                     for _ in range(rows))
+
+    for m in (1, 2, 3) * 4:
+        theta = {(i, j): entries(m, m) for i in range(3) for j in range(3)}
+        rep = Representation(s3, m, theta)
+        derived = Representation(s3, m, {k: rep.D(*k) for k in theta})
+        N, Nv = entries(3, 3), entries(m, m)
+
+        def defect(r, i, j):
+            lhs, rhs = compatibility_sides(r, N, Nv, i, j)
+            return ref.matsub(rhs, lhs)
+
+        for i, j in theta:
+            assert defect(derived, i, j) == ref.matsub(defect(rep, j, i),
+                                                       defect(rep, i, j))
 
 
 def test_trivial_action_detection():

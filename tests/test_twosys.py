@@ -40,21 +40,29 @@ def skeletal_instances(cx, count=None):
 
 
 def test_skeletal_instances_pass_checks(cx_l2_adj):
-    disagreements = 0
-    for sys2, nstr in skeletal_instances(cx_l2_adj):
+    instances = skeletal_instances(cx_l2_adj)
+    assert len(instances) == 8
+    for sys2, nstr in instances:
         base = check_2system(sys2)
         assert base.ok
         assert base.data["skeletal"]
         struct = check_nijenhuis_2system(sys2, nstr)
-        assert struct.ok
-        assert struct.data["slot_readings_agree"]
-        if not struct.data["expanded_form_agrees"]:
-            # the expanded classical reading of the five-argument condition
-            # is strictly narrower than the differential-based one; the
-            # checker records the mismatch as a warning, not a violation
-            disagreements += 1
-            assert any("expanded" in w for w in struct.warnings)
-    assert disagreements == 2
+        assert struct.ok and not struct.warnings
+        assert struct.data["skeletal"]
+
+
+def test_expanded_five_form_is_not_the_differential(cx_l2_adj):
+    # the expanded classical form keeps l5(Nx1, ..., Nx5) and -N1 l5(x) of
+    # the 2^5 terms of phi(l5), so it is a narrower condition than the
+    # second component of d: it rejects 2 of the 8 skeletal instances that
+    # the degree-5 kernel of d gives on l2 adjoint
+    verdicts = []
+    for sys2, nstr in skeletal_instances(cx_l2_adj):
+        assert check_nijenhuis_2system(sys2, nstr).ok
+        verdicts.append(ref.expanded_five_condition_holds(
+            sys2.n0, sys2.n1, *(dict(getattr(sys2, t)) for t in TENSORS),
+            nstr.N0, nstr.N1, dict(nstr.N2)))
+    assert len(verdicts) == 8 and verdicts.count(False) == 2
 
 
 def test_skeletal_round_trip(cx_l2_adj):
@@ -160,8 +168,7 @@ def _oracle_l11(sys2):
     the first-slot action and the third-slot matrices of the tensors."""
     n, m = sys2.n0, sys2.n1
     pairs = list(itertools.product(range(n), repeat=2))
-    theta = {(i, j): tuple(tuple(sys2.l3_100[(a, i, j)][r] for a in range(m))
-                           for r in range(m)) for i, j in pairs}
+    theta = ref.first_slot_theta(n, m, sys2.l3_100)
     D = {(i, j): tuple(tuple(sys2.l3_001[(i, j, a)][r] for a in range(m))
                        for r in range(m)) for i, j in pairs}
     out = ref.delta5(dict(sys2.l5), n, m, theta, D, dict(sys2.l3_000))
@@ -185,10 +192,11 @@ def test_l11_witnesses_match_oracle_coboundary(cx_l2_adj):
 
 
 def _identity_strict(system, n, N):
-    """The strict 2-system (h = identity) of the identity crossed module."""
+    """The strict structure (h = identity, N0 = N1 = N) of the identity
+    crossed module."""
     xm = CrossedModule(system, N, n, system.table, ident(n),
                        adjoint_rep(system).theta, N)
-    return crossed_module_to_strict(xm)[0]
+    return crossed_module_to_strict(xm)
 
 
 TENSORS = ("l3_000", "l3_100", "l3_010", "l3_001", "l5")
@@ -221,7 +229,7 @@ CORRUPTIONS = (
 def test_coherence_witnesses_match_graded_bracket_oracle(name):
     system = l2() if name == "l2" else lts_from_lie_algebra(sl2_lie())
     n = system.dim
-    strict = _identity_strict(system, n, ident(n))
+    strict = _identity_strict(system, n, ident(n))[0]
     fired = set()
     for sys2 in [strict] + [_corrupted(strict, *c) for c in CORRUPTIONS]:
         found = [(item["condition"], item["at"], item["lhs"], item.get("rhs"))
@@ -232,6 +240,70 @@ def test_coherence_witnesses_match_graded_bracket_oracle(name):
         assert found == want
         fired |= {cond.split("-")[0] for cond, _, _, _ in found}
     assert fired == {"L%d" % k for k in range(1, 11)}
+
+
+def _corrupted_structure(nstr, field, key):
+    """nstr with one entry of N0, N1 or N2 replaced."""
+    N0, N1 = [list(row) for row in nstr.N0], [list(row) for row in nstr.N1]
+    N2 = dict(nstr.N2)
+    if field == "N2":
+        N2[key] = tuple(Fraction(c + 1, 2) for c in range(nstr.n1))
+    else:
+        M = N0 if field == "N0" else N1
+        M[key[0]][key[1]] += Fraction(1, 3)
+    return Nijenhuis2Structure(nstr.n0, nstr.n1, N0, N1, N2)
+
+
+STRUCTURE_CORRUPTIONS = (
+    ("N0", (0, 1)),
+    ("N1", (0, 0)),
+    ("N2", (0, 1, 1)),
+    ("h", (1, 0)),
+    ("l5", (0, 1, 0, 1, 1)),
+)
+
+
+def _with_corruptions(sys2, nstr):
+    out = [(sys2, nstr)]
+    for field, key in STRUCTURE_CORRUPTIONS:
+        if field in ("h", "l5"):
+            out.append((_corrupted(sys2, field, key), nstr))
+        else:
+            out.append((sys2, _corrupted_structure(nstr, field, key)))
+    return out
+
+
+STRUCTURE_CONDITIONS = {"operator-h-commutation", "N2-antisymmetry",
+                        "N2-cyclic", "base-defect", "fiber-defect",
+                        "five-argument"}
+
+
+@pytest.mark.parametrize("name", ["l2", "sl2", "l2-skeletal"])
+def test_structure_witnesses_match_graded_bracket_oracle(name, cx_l2_adj,
+                                                         cx_l2_triv):
+    if name == "l2-skeletal":
+        instances = (skeletal_instances(cx_l2_adj)
+                     + skeletal_instances(cx_l2_triv))
+        # corruptions of a trivial-fiber instance and of the first
+        # adjoint instance with N2 != 0
+        cases = instances + _with_corruptions(*instances[-1])
+        cases += _with_corruptions(*next(
+            (s, t) for s, t in instances[:-2] if not t.is_strict_part()))
+    else:
+        system = l2() if name == "l2" else lts_from_lie_algebra(sl2_lie())
+        N = N01 if name == "l2" else ((1, 0, 0), (0, 0, 0), (0, 0, 0))
+        cases = _with_corruptions(*_identity_strict(system, system.dim, N))
+    fired = set()
+    for sys2, nstr in cases:
+        found = [(item["condition"], item["at"], item["lhs"], item.get("rhs"))
+                 for item in check_nijenhuis_2system(sys2, nstr).violations]
+        want = ref.nijenhuis_2system_defect(
+            sys2.n0, sys2.n1, sys2.h,
+            *(dict(getattr(sys2, t)) for t in TENSORS),
+            nstr.N0, nstr.N1, dict(nstr.N2))
+        assert found == want
+        fired |= {cond for cond, _, _, _ in found}
+    assert fired == STRUCTURE_CONDITIONS
 
 
 def test_identity_crossed_module():
