@@ -249,7 +249,7 @@ def cmd_extend(args):
     f, g, _ = jsonio.pair_from_obj(load_json(args.pair), cx.n, cx.m, 3,
                                    args.pair)
     if g is None:
-        g = {(i,): (0,) * cx.m for i in range(cx.n)}
+        g = zero_cochain(cx.n, cx.m, 1)
     ext, report = build_extension(cx, f, cochain_to_chi(g, cx.n, cx.m))
     obj = jsonio.extension_to_obj(ext)
     if args.json:

@@ -53,7 +53,7 @@ from .linalg import (
 )
 from .lts import Report
 from .nrep import _check_fiber_operator, deformed_theta
-from .operators import _check_operator, telescoped_brackets
+from .operators import _Poly, _check_operator, telescoped_brackets
 
 _W3_CACHE = {}
 
@@ -64,7 +64,8 @@ def _w3_data(n):
     Returns (basis, free) where basis is a list of dicts
     (i,j,k) -> int spanning the tensors antisymmetric in slots 1,2 with
     zero cyclic sum, and free lists one transversal tuple per basis
-    element (evaluation there is a linear isomorphism onto coordinates).
+    element: the first tuple where that element is +1 or -1 and every
+    other element is 0.
     """
     if n in _W3_CACHE:
         return _W3_CACHE[n]
@@ -84,31 +85,42 @@ def _w3_data(n):
     vectors = kernel_basis(rows)
     basis = []
     free = []
-    used = set()
     for v in vectors:
         basis.append({t: v[index[t]] for t in tuples if v[index[t]]})
-        lead = None
-        for t in tuples:
-            if v[index[t]] and t not in used and all(
-                    w[index[t]] == 0 for w in vectors if w is not v):
-                lead = t
-                break
+        lead = next((t for t in tuples if v[index[t]] in (1, -1) and all(
+            w[index[t]] == 0 for w in vectors if w is not v)), None)
         if lead is None:
             raise RuntimeError("no transversal position for constraint basis")
-        used.add(lead)
         free.append(lead)
     _W3_CACHE[n] = (basis, free)
     return basis, free
 
 
-def cochain_space_dim(dim, vdim, degree):
-    """Dimension of the constrained cochain space of one degree."""
-    if degree == 1:
-        return dim * vdim
+def _basis_tensors(n, degree):
+    """The cochain basis of one degree without its fiber coordinate.
+
+    Returns (prefix, tail, lead) per basis tensor, in basis order: the
+    tail is a unit 1-tensor in degree 1 and a constrained 3-tensor of
+    ``_w3_data`` otherwise, it sits after the free prefix, and lead is
+    its transversal tuple.  A basis cochain of C^degree is one of these
+    with one fiber coordinate a (innermost).  The tail is +-1 at its lead
+    and no other basis tensor reaches prefix + lead, so the coordinate of
+    a cochain f is tail[lead] times the a-th entry of f(prefix + lead).
+    """
     if degree < 1 or degree % 2 == 0:
         raise ValueError("cochains live in odd degrees, got %d" % degree)
-    basis, _ = _w3_data(dim)
-    return vdim * (dim ** (degree - 3)) * len(basis)
+    if degree == 1:
+        tails, width = [({(i,): 1}, (i,)) for i in range(n)], 1
+    else:
+        tails, width = list(zip(*_w3_data(n))), 3
+    return [(prefix, tail, lead)
+            for prefix in itertools.product(range(n), repeat=degree - width)
+            for tail, lead in tails]
+
+
+def cochain_space_dim(dim, vdim, degree):
+    """Dimension of the constrained cochain space of one degree."""
+    return vdim * len(_basis_tensors(dim, degree))
 
 
 def zero_cochain(dim, vdim, degree):
@@ -252,7 +264,7 @@ class Complex:
         self.DN = {(i, j): self._dn(i, j) for i in range(n) for j in range(n)}
         # (a3, p0, p1, p2) per basis triple, see telescoped_brackets
         self._parts = telescoped_brackets(system, self.N)
-        self._dcols = {}
+        self._rows = {}
         self._rank = {}
 
     def _dn(self, i, j):
@@ -334,66 +346,62 @@ class Complex:
     # -- bases, flattening, matrices ---------------------------------------
 
     def cochain_basis(self, degree):
-        n, m = self.n, self.m
-        out = []
-        if degree == 1:
-            for i in range(n):
-                for a in range(m):
-                    f = zero_cochain(n, m, 1)
-                    f[(i,)] = tuple(1 if b == a else 0 for b in range(m))
-                    out.append(f)
-            return out
-        basis3, _ = _w3_data(n)
-        for prefix in itertools.product(range(n), repeat=degree - 3):
-            for c3 in basis3:
-                for a in range(m):
-                    f = zero_cochain(n, m, degree)
-                    for t, coef in c3.items():
-                        f[prefix + t] = tuple(coef if b == a else 0
-                                              for b in range(m))
-                    out.append(f)
-        return out
+        """The basis cochains of one degree, in coordinate order."""
+        dim = cochain_space_dim(self.n, self.m, degree)
+        return [self.from_coefficients([int(k == j) for k in range(dim)],
+                                       degree)
+                for j in range(dim)]
 
     def flatten(self, f, degree):
         """Coordinates of a constrained cochain (transversal evaluation)."""
-        n, m = self.n, self.m
-        if degree == 1:
-            return [f[(i,)][a] for i in range(n) for a in range(m)]
-        _, free = _w3_data(n)
-        out = []
-        for prefix in itertools.product(range(n), repeat=degree - 3):
-            for t in free:
-                out.extend(f[prefix + t])
-        return out
+        return [tail[lead] * x
+                for prefix, tail, lead in _basis_tensors(self.n, degree)
+                for x in f[prefix + lead]]
 
     def from_coefficients(self, coeffs, degree):
         """Linear combination of the cochain basis."""
-        basis = self.cochain_basis(degree)
-        f = zero_cochain(self.n, self.m, degree)
-        for c, b in zip(coeffs, basis):
+        m = self.m
+        f = {t: list(v) for t, v in zero_cochain(self.n, m, degree).items()}
+        slots = ((prefix, tail, a)
+                 for prefix, tail, _ in _basis_tensors(self.n, degree)
+                 for a in range(m))
+        for c, (prefix, tail, a) in zip(coeffs, slots):
             if c:
-                f = cochain_add(f, cochain_scale(c, b))
-        return f
+                for t, coef in tail.items():
+                    f[prefix + t][a] += c * coef
+        return {t: tuple(v) for t, v in f.items()}
 
-    def _pair_domain(self, degree):
-        """Basis of the domain of d in one degree, as (f, g) pairs."""
-        if degree == 1:
-            return [(f, None) for f in self.cochain_basis(1)]
-        top = [(f, None) for f in self.cochain_basis(degree)]
-        low = [(None, g) for g in self.cochain_basis(degree - 2)]
-        return top + low
+    def _domain_dim(self, degree):
+        """Dimension of C^degree + C^(degree-2), the domain of d."""
+        return sum(cochain_space_dim(self.n, self.m, k)
+                   for k in (degree, degree - 2) if k > 0)
 
-    def _d_columns(self, degree):
-        if degree not in self._dcols:
-            self._dcols[degree] = [
-                self.flatten(df, degree + 2) + self.flatten(second, degree)
-                for df, second in (self.d(f, g, degree)
-                                   for f, g in self._pair_domain(degree))]
-        return self._dcols[degree]
+    def _d_matrix(self, degree):
+        """Rows of the matrix of d in one degree, from one run of d.
+
+        d runs on the pair whose coordinate k is the variable k (an
+        ``operators._Poly``), so each entry of the flattened image is a
+        linear form, and row r holds the coefficients of entry r.
+        """
+        if degree not in self._rows:
+            dim = self._domain_dim(degree)
+            x = [_Poly({(k,): 1}) for k in range(dim)]
+            image = self.pair_flatten(
+                *self.d(*self.pair_from_coefficients(x, degree), degree),
+                degree + 2)
+            rows = []
+            for entry in image:
+                row = [0] * dim
+                if entry:
+                    for (k,), c in entry.items():
+                        row[k] = c
+                rows.append(row)
+            self._rows[degree] = rows
+        return self._rows[degree]
 
     def d_rank(self, degree):
         if degree not in self._rank:
-            self._rank[degree] = rank(self._d_columns(degree))
+            self._rank[degree] = rank(self._d_matrix(degree))
         return self._rank[degree]
 
     def pair_flatten(self, f, g, degree):
@@ -414,10 +422,8 @@ class Complex:
 
     def kernel_pairs(self, degree):
         """Basis of ker d in one degree, as (f, g) pairs."""
-        cols = self._d_columns(degree)
-        if not cols:
-            return []
-        rows = [list(r) for r in zip(*cols)]
+        # with no rows, d maps into the zero space and kills the whole domain
+        rows = self._d_matrix(degree) or [[0] * self._domain_dim(degree)]
         return [self.pair_from_coefficients(v, degree)
                 for v in kernel_basis(rows)]
 
@@ -445,33 +451,25 @@ class Complex:
         """Search d-preimages: degree 3 looks in C^1, degree 5 in C^3 + C^1.
 
         Returns (found, pair) where pair is a domain preimage (gamma, None)
-        or (psi, chi) when found, else (False, None).
+        or (psi, chi) when found, else (False, None).  An empty domain has
+        no pair to show, so there pair is None either way.
         """
         if degree not in (3, 5):
             raise ValueError("coboundaries arrive in degrees 3 and 5")
-        cols = self._d_columns(degree - 2)
-        target = self.pair_flatten(f, g, degree)
-        if not cols:
-            return (all(x == 0 for x in target), None)
-        rows = [list(r) for r in zip(*cols)]
-        solution = solve_linear(rows, target)
+        solution = solve_linear(self._d_matrix(degree - 2),
+                                self.pair_flatten(f, g, degree))
         if solution is None:
             return False, None
+        if not self._domain_dim(degree - 2):
+            return True, None
         return True, self.pair_from_coefficients(solution, degree - 2)
 
     def cohomology_dim(self, degree):
         """Cocycle, coboundary, and quotient dimensions in one degree."""
-        n, m = self.n, self.m
-        if degree == 1:
-            dim_c = cochain_space_dim(n, m, 1)
-            z = dim_c - self.d_rank(1)
-            return {"degree": 1, "dim_cochains": dim_c, "dim_cocycles": z,
-                    "dim_coboundaries": 0, "dim_H": z}
-        if degree not in (3, 5):
+        if degree not in (1, 3, 5):
             raise ValueError("cohomology is computed in degrees 1, 3, 5")
-        dim_c = (cochain_space_dim(n, m, degree)
-                 + cochain_space_dim(n, m, degree - 2))
+        dim_c = self._domain_dim(degree)
         z = dim_c - self.d_rank(degree)
-        b = self.d_rank(degree - 2)
+        b = self.d_rank(degree - 2) if degree > 1 else 0
         return {"degree": degree, "dim_cochains": dim_c, "dim_cocycles": z,
                 "dim_coboundaries": b, "dim_H": z - b}

@@ -21,10 +21,10 @@ gamma yields the isomorphism (x, u) -> (x, u + gamma(x)).
 
 import itertools
 
-from .linalg import matvec, vzero
+from .linalg import matmul, vzero
 from .lts import LieTripleSystem, Report, Representation, check_lts
 from .cohomology import Complex, cochain_sub, normalize_cochain
-from .operators import graded_brackets, is_nijenhuis
+from .operators import is_morphism, is_nijenhuis
 
 
 class AbelianExtension:
@@ -215,18 +215,5 @@ def _eta_matrix(gamma, n, m):
 
 def _is_isomorphism(eta, ext1, ext2):
     """eta carries brackets and lifted operators of ext1 to ext2."""
-    size = ext1.n + ext1.m
-    t1, t2 = ext1.total, ext2.total
-    e = [t1.basis_vector(i) for i in range(size)]
-    image = graded_brackets(t2, eta)[3]
-    zero = vzero(size)
-    for t in itertools.product(range(size), repeat=3):
-        if matvec(eta, t1.coeff(*t)) != image.get(t, zero):
-            return False
-    for c in range(size):
-        col = tuple(ext1.Nhat[r][c] for r in range(size))
-        lhs = matvec(eta, col)
-        rhs = matvec(ext2.Nhat, matvec(eta, e[c]))
-        if lhs != rhs:
-            return False
-    return True
+    return (is_morphism(ext1.total, ext2.total, eta).ok
+            and matmul(eta, ext1.Nhat) == matmul(ext2.Nhat, eta))

@@ -1,13 +1,17 @@
 """The two-column cochain complex: spaces, differentials, dimensions."""
 
+from fractions import Fraction
 import itertools
 import random
 
 import pytest
+import sympy
 
 import reference as ref
 from nlts import (
     Complex,
+    adjoint_rep,
+    l2,
     cochain_space_dim,
     normalize_cochain,
     validate_cochain,
@@ -53,13 +57,21 @@ def test_cochain_space_dims():
                     == m * n ** (2 * k - 2) * ref.w_dim(n))
 
 
-def test_basis_elements_validate_and_count(cx_l2_adj):
+def test_basis_elements_validate_and_count(cx_l2_adj, cx_solv3_adj):
     cx = cx_l2_adj
     for deg in (1, 3, 5):
         basis = cx.cochain_basis(deg)
         assert len(basis) == cochain_space_dim(cx.n, cx.m, deg)
         for b in basis:
             assert validate_cochain(b, cx.n, cx.m, deg).ok
+    # coordinates and basis are dual: basis cochain k flattens to the k-th
+    # unit vector (solv3 has a nontrivial transversal in degree 3)
+    for cx, degs in ((cx_l2_adj, (1, 3, 5)), (cx_solv3_adj, (1, 3))):
+        for deg in degs:
+            basis = cx.cochain_basis(deg)
+            for k, b in enumerate(basis):
+                assert cx.flatten(b, deg) == [int(j == k)
+                                              for j in range(len(basis))]
 
 
 def test_validate_rejects_bad_symmetry():
@@ -190,6 +202,97 @@ def test_delta_of_identity_cochain_is_twice_bracket(cx_l2_adj):
     df = cx.delta(f, 1)
     for t in itertools.product(range(2), repeat=3):
         assert df[t] == tuple(2 * x for x in cx.system.coeff(*t))
+
+
+# ---------------------------------------------------------------------------
+# the matrix of d against the oracle, column by column
+
+@pytest.fixture(scope="module")
+def cx_l2_adj_half():
+    half = tuple(tuple(Fraction(x, 2) for x in row)
+                 for row in ((0, 1), (0, 1)))
+    return Complex(l2(), adjoint_rep(l2()), half, half)
+
+
+def reference_d_matrix(cx, ctx, deg):
+    """sympy matrix of d, one ``ref.Ctx.d`` column per domain basis pair."""
+    n, m = cx.n, cx.m
+    if deg == 1:
+        domain = [(f, None) for f in cx.cochain_basis(1)]
+    else:
+        domain = ([(f, zero_cochain(n, m, deg - 2))
+                   for f in cx.cochain_basis(deg)]
+                  + [(zero_cochain(n, m, deg), g)
+                     for g in cx.cochain_basis(deg - 2)])
+    height = len(cx.pair_flatten(zero_cochain(n, m, deg + 2),
+                                 zero_cochain(n, m, deg), deg + 2))
+    out = sympy.zeros(height, len(domain))
+    for c, (f, g) in enumerate(domain):
+        column = cx.pair_flatten(*ctx.d(f, g, deg), deg + 2)
+        for r, x in enumerate(column):
+            out[r, c] = sympy.Rational(x)
+    return out
+
+
+def coprime(v):
+    """A sympy vector as coprime integers, first nonzero entry positive."""
+    den = 1
+    for x in v:
+        den = sympy.ilcm(den, sympy.fraction(x)[1])
+    w = [int(x * den) for x in v]
+    g = 0
+    for x in w:
+        g = sympy.igcd(g, x)
+    sign = next((1 if x > 0 else -1 for x in w if x), 1)
+    return tuple(sign * x // g for x in w)
+
+
+def as_fractions(v):
+    return [Fraction(int(x.p), int(x.q)) for x in v]
+
+
+@pytest.mark.parametrize("ctxname", ["cx_l2_adj", "cx_l2_adj_half",
+                                     "cx_l2_triv", "cx_dim1", "cx_solv3_adj"])
+def test_d_matrix_matches_oracle(ctxname, request):
+    cx = request.getfixturevalue(ctxname)
+    ctx = as_ctx(cx)
+    rng = random.Random(97)
+    degs = (1, 3) if cx.n > 2 else (1, 3, 5)
+    for deg in degs:
+        M = reference_d_matrix(cx, ctx, deg)
+        assert cx.d_rank(deg) == M.rank()
+        kernel = [tuple(cx.pair_flatten(f, g, deg))
+                  for f, g in cx.kernel_pairs(deg)]
+        assert kernel == [coprime(v) for v in M.nullspace()]
+        if deg == 5:
+            continue
+        # preimages of targets one degree up: images of random domain
+        # vectors, and one random pair, which is usually not an image
+        top = deg + 2
+        targets = []
+        for _ in range(3):
+            y = [rng.randint(-3, 3) for _ in range(M.cols)]
+            f, g = cx.pair_from_coefficients(y, deg)
+            targets.append(ctx.d(f, g or zero_cochain(cx.n, cx.m, 1), deg))
+        targets.append((lib_rand(cx, rng, top), lib_rand(cx, rng, top - 2)))
+        for f, g in targets:
+            b = sympy.Matrix([sympy.Rational(x)
+                              for x in cx.pair_flatten(f, g, top)])
+            assert cx.is_coboundary(f, g, top) == free_zero_solution(cx, M, b,
+                                                                     deg)
+
+
+def free_zero_solution(cx, M, b, deg):
+    """is_coboundary's answer from sympy: the solution of M x = b with every
+    free parameter 0, as a domain pair, or (False, None)."""
+    if not M.rows:  # no equations: sympy refuses, and x = 0 solves
+        return True, cx.pair_from_coefficients([0] * M.cols, deg)
+    try:
+        sol, params = M.gauss_jordan_solve(b)
+    except ValueError:
+        return False, None
+    x = as_fractions(sol.subs({p: 0 for p in params}))
+    return True, cx.pair_from_coefficients(x, deg)
 
 
 # ---------------------------------------------------------------------------
