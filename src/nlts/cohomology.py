@@ -82,7 +82,7 @@ def _w3_data(n):
         row[index[(j, k, i)]] += 1
         row[index[(k, i, j)]] += 1
         rows.append(row)
-    vectors = kernel_basis(rows)
+    vectors = kernel_basis(rows, len(tuples))
     basis = []
     free = []
     for v in vectors:
@@ -381,22 +381,15 @@ class Complex:
 
         d runs on the pair whose coordinate k is the variable k (an
         ``operators._Poly``), so each entry of the flattened image is a
-        linear form, and row r holds the coefficients of entry r.
+        linear form, and row r is the sparse ``{k: coefficient}`` of entry r.
         """
         if degree not in self._rows:
-            dim = self._domain_dim(degree)
-            x = [_Poly({(k,): 1}) for k in range(dim)]
+            x = [_Poly({(k,): 1}) for k in range(self._domain_dim(degree))]
             image = self.pair_flatten(
                 *self.d(*self.pair_from_coefficients(x, degree), degree),
                 degree + 2)
-            rows = []
-            for entry in image:
-                row = [0] * dim
-                if entry:
-                    for (k,), c in entry.items():
-                        row[k] = c
-                rows.append(row)
-            self._rows[degree] = rows
+            self._rows[degree] = [{k: c for (k,), c in entry.items()}
+                                  if entry else {} for entry in image]
         return self._rows[degree]
 
     def d_rank(self, degree):
@@ -422,10 +415,9 @@ class Complex:
 
     def kernel_pairs(self, degree):
         """Basis of ker d in one degree, as (f, g) pairs."""
-        # with no rows, d maps into the zero space and kills the whole domain
-        rows = self._d_matrix(degree) or [[0] * self._domain_dim(degree)]
         return [self.pair_from_coefficients(v, degree)
-                for v in kernel_basis(rows)]
+                for v in kernel_basis(self._d_matrix(degree),
+                                      self._domain_dim(degree))]
 
     # -- verdicts -----------------------------------------------------------
 
@@ -457,7 +449,8 @@ class Complex:
         if degree not in (3, 5):
             raise ValueError("coboundaries arrive in degrees 3 and 5")
         solution = solve_linear(self._d_matrix(degree - 2),
-                                self.pair_flatten(f, g, degree))
+                                self.pair_flatten(f, g, degree),
+                                self._domain_dim(degree - 2))
         if solution is None:
             return False, None
         if not self._domain_dim(degree - 2):

@@ -4,13 +4,16 @@ Scalars are Python ints or ``fractions.Fraction``; vectors are tuples of
 scalars and matrices are tuples of row tuples.  All functions are pure:
 inputs are never mutated and results are returned as fresh tuples.
 
-Elimination is done fraction-free (Bareiss) on integer-cleared rows, so
-intermediate entries stay integers of modest size; only the final
-back-substitution steps touch ``Fraction``.
+``rank``, ``kernel_basis`` and ``solve_linear`` also take sparse rows,
+``{column: value}`` dicts.  Each row is read once into a dict of coprime
+integers, and all three read their answer off one reduced row echelon
+form of such rows (``_rref``): the rank is its number of pivots, the
+kernel has one vector per free column, and a solution sets every free
+variable to 0.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -114,136 +117,113 @@ def mat_iszero(A):
 # ---------------------------------------------------------------------------
 # elimination
 
+def _entries(row):
+    """The (column, value) pairs of a dense or ``{column: value}`` row."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
+
+
 def _clear_row(row):
-    """Scale a row of rationals to coprime integers (sign preserved)."""
-    lcm = 1
-    for x in row:
-        d = Fraction(x).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(x * lcm) for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+    """A dense or ``{column: value}`` row of rationals as ``{column: int}``:
+    zeros dropped, denominators cleared, divided by the gcd (sign kept)."""
+    row = {c: x for c, x in _entries(row) if x}
+    den = 1
+    for x in row.values():
+        den = lcm(den, Fraction(x).denominator)
+    return _primitive({c: int(x * den) for c, x in row.items()})
 
 
-def _bareiss(rows):
-    """Fraction-free row echelon form.
+def _primitive(row):
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
 
-    Returns (echelon, pivot_cols) where echelon is a list of integer rows
-    in echelon order and pivot_cols lists the pivot column of each row.
-    Pivot choice is the first nonzero entry scanning top to bottom, so the
-    result is deterministic.
+
+def _eliminate(row, pivot_row, c):
+    """``row`` with column c cleared by ``pivot_row``, as a primitive row.
+
+    The multiplier of ``row`` is positive, so its sign is kept."""
+    p, a = pivot_row[c], row[c]
+    g = gcd(p, a)
+    p, a = p // g, a // g
+    out = {k: p * x for k, x in row.items()}
+    for k, x in pivot_row.items():
+        v = out.get(k, 0) - a * x
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return _primitive(out)
+
+
+def _rref(rows):
+    """The reduced row echelon form of a matrix, as ``{pivot column: row}``.
+
+    Each row is a primitive integer ``{column: value}`` dict with a
+    positive pivot and zeros in every other pivot column.  Rows are taken
+    shortest first; each is reduced by the pivot rows so far, and a
+    nonzero remainder becomes the pivot row of its first column and is
+    cleared from the earlier pivot rows.  The reduced echelon form of a
+    matrix is unique, so the pivots are the leftmost echelon pivots and
+    the result does not depend on the order the rows are taken in.
     """
-    M = [_clear_row(row) for row in rows]
-    M = [row for row in M if any(row)]
-    if not M:
-        return [], []
-    ncols = len(M[0])
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(M)):
-            if M[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    echelon = {}
+    for row in sorted(map(_clear_row, rows), key=len):
+        for c in [c for c in row if c in echelon]:
+            row = _eliminate(row, echelon[c], c)
+        if not row:
             continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        p = M[r][c]
-        for i in range(r + 1, len(M)):
-            mi = M[i]
-            fi = mi[c]
-            mr = M[r]
-            for j in range(ncols):
-                mi[j] = (p * mi[j] - fi * mr[j]) // prev
-        pivots.append(c)
-        prev = p
-        r += 1
-        if r == len(M):
-            break
-    return M[:r], pivots
+        lead = min(row)
+        if row[lead] < 0:
+            row = {c: -x for c, x in row.items()}
+        for c, other in echelon.items():
+            if lead in other:
+                echelon[c] = _eliminate(other, row, lead)
+        echelon[lead] = row
+    return echelon
 
 
 def rank(rows):
-    """Rank of a matrix (any sequence of rational rows)."""
-    if not rows or not rows[0]:
-        return 0
-    _, pivots = _bareiss(rows)
-    return len(pivots)
+    """Rank of a matrix given as dense or ``{column: value}`` rows."""
+    return len(_rref(rows))
 
 
-def _back_substitute(echelon, pivots, ncols, free_col=None, rhs=None):
-    """Solve the echelon system for one vector.
-
-    With ``free_col`` set, computes the kernel vector that has 1 in that
-    free column and 0 in the other free columns.  With ``rhs`` set (values
-    aligned with the echelon rows), computes a particular solution with
-    all free variables 0.
-    """
-    x = [Fraction(0)] * ncols
-    if free_col is not None:
-        x[free_col] = Fraction(1)
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        row = echelon[i]
-        acc = Fraction(rhs[i]) if rhs is not None else Fraction(0)
-        for j in range(c + 1, ncols):
-            if row[j] != 0 and x[j] != 0:
-                acc -= row[j] * x[j]
-        x[c] = acc / row[c]
-    return x
-
-
-def _tidy(vec):
-    """Scale a rational vector to coprime integers, first nonzero positive."""
+def _tidy(vec, ncols):
+    """A ``{column: rational}`` vector as a tuple of ncols coprime
+    integers, first nonzero entry positive."""
     ints = _clear_row(vec)
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    sign = -1 if ints and ints[min(ints)] < 0 else 1
+    out = [0] * ncols
+    for c, x in ints.items():
+        out[c] = sign * x
+    return tuple(out)
 
 
-def kernel_basis(rows):
-    """Deterministic basis of the right null space.
+def kernel_basis(rows, ncols):
+    """Deterministic basis of the right null space of a matrix with ncols
+    columns, given as dense or ``{column: value}`` rows.
 
     Returns a list of integer vectors, one per free column in increasing
     column order, each normalized to coprime entries with the first
     nonzero entry positive.  An empty list means the kernel is trivial.
     """
-    if not rows or not rows[0]:
-        return []
-    ncols = len(rows[0])
-    echelon, pivots = _bareiss(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for c in range(ncols):
-        if c in pivot_set:
-            continue
-        basis.append(_tidy(_back_substitute(echelon, pivots, ncols, free_col=c)))
-    return basis
+    echelon = _rref(rows)
+    return [_tidy({f: 1, **{c: Fraction(-row[f], row[c])
+                            for c, row in echelon.items() if f in row}},
+                  ncols)
+            for f in range(ncols) if f not in echelon]
 
 
-def solve_linear(rows, rhs):
-    """One solution of A x = b, or None if the system is inconsistent.
+def solve_linear(rows, rhs, ncols):
+    """One solution of A x = b in ncols unknowns, or None if the system is
+    inconsistent; the rows of A are dense or ``{column: value}``.
 
     Free variables are set to 0, so the answer is deterministic.  Entries
     are ints where possible, Fractions otherwise.
     """
-    if not rows:
-        return () if all(b == 0 for b in rhs) else None
-    ncols = len(rows[0])
-    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
-    echelon, pivots = _bareiss(augmented)
-    if pivots and pivots[-1] == ncols:
+    echelon = _rref({**dict(_entries(row)), ncols: b}
+                    for row, b in zip(rows, rhs))
+    if ncols in echelon:
         return None
-    rhs_col = [row[ncols] for row in echelon]
-    body = [row[:ncols] for row in echelon]
-    x = _back_substitute(body, pivots, ncols, rhs=rhs_col)
+    x = [0] * ncols
+    for c, row in echelon.items():
+        x[c] = Fraction(row.get(ncols, 0), row[c])
     return tuple(int(v) if v.denominator == 1 else v for v in x)

@@ -37,6 +37,19 @@ def viszero(v):
     return all(a == 0 for a in v)
 
 
+def coprime(v):
+    """A sympy vector as coprime integers, first nonzero entry positive."""
+    den = 1
+    for x in v:
+        den = sympy.ilcm(den, sympy.fraction(x)[1])
+    w = [int(x * den) for x in v]
+    g = 0
+    for x in w:
+        g = sympy.igcd(g, x)
+    sign = next((1 if x > 0 else -1 for x in w if x), 1)
+    return tuple(sign * x // g for x in w)
+
+
 def matvec(M, v):
     return tuple(sum(M[r][c] * v[c] for c in range(len(v)))
                  for r in range(len(M)))
