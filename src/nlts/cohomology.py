@@ -42,6 +42,7 @@ import itertools
 
 from .linalg import (
     kernel_basis,
+    matsub,
     matvec,
     rank,
     solve_linear,
@@ -261,16 +262,12 @@ class Complex:
         self.D = {(i, j): rep.D(i, j)
                   for i in range(n) for j in range(n)}
         self.thetaN = deformed_theta(rep, self.N, self.Nv)
-        self.DN = {(i, j): self._dn(i, j) for i in range(n) for j in range(n)}
+        self.DN = {(i, j): matsub(self.thetaN[(j, i)], self.thetaN[(i, j)])
+                   for i in range(n) for j in range(n)}
         # (a3, p0, p1, p2) per basis triple, see telescoped_brackets
         self._parts = telescoped_brackets(system, self.N)
         self._rows = {}
         self._rank = {}
-
-    def _dn(self, i, j):
-        a = self.thetaN[(j, i)]
-        b = self.thetaN[(i, j)]
-        return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
 
     def _tele(self, f, args, pos, key):
         """Alternating insertion of the three graded brackets at one slot."""

@@ -3,6 +3,9 @@
 Scalars are Python ints or ``fractions.Fraction``; vectors are tuples of
 scalars and matrices are tuples of row tuples.  All functions are pure:
 inputs are never mutated and results are returned as fresh tuples.
+The products ``dot``, ``matvec`` and ``matmul`` multiply only pairs of
+nonzero factors, reading the nonzero entries of each vector or column
+once, because the matrices of the identity checks are mostly zero.
 
 ``rank``, ``kernel_basis`` and ``solve_linear`` also take sparse rows,
 ``{column: value}`` dicts.  Each row is read once into a dict of coprime
@@ -70,8 +73,19 @@ def vscale(c, v):
     return tuple(c * a for a in v)
 
 
+def _support(v):
+    """The (index, value) pairs of the nonzero entries of v."""
+    return [(j, x) for j, x in enumerate(v) if x]
+
+
+def _sparse_dot(row, support):
+    """Sum of row[j] * x over the support of a vector, skipping zero
+    row[j]; a sum with no terms is the int 0."""
+    return sum(row[j] * x for j, x in support if row[j])
+
+
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return _sparse_dot(u, _support(v))
 
 
 def zeros(rows, cols=None):
@@ -84,18 +98,14 @@ def ident(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat(rows):
-    """Freeze a nested sequence into a tuple-of-tuples matrix."""
-    return tuple(tuple(row) for row in rows)
-
-
 def matvec(M, v):
-    return tuple(dot(row, v) for row in M)
+    support = _support(v)
+    return tuple(_sparse_dot(row, support) for row in M)
 
 
 def matmul(A, B):
-    bt = tuple(zip(*B))
-    return tuple(tuple(dot(row, col) for col in bt) for row in A)
+    supports = [_support(col) for col in zip(*B)]
+    return tuple(tuple(_sparse_dot(row, s) for s in supports) for row in A)
 
 
 def matadd(A, B):

@@ -4,7 +4,10 @@ Subcommands are invoked in-process through run(); one test drives the
 installed module entry point through a subprocess.
 """
 
+import contextlib
+import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -16,6 +19,7 @@ from nlts.cohomology import cochain_add
 from nlts import jsonio
 
 N01 = ((0, 1), (0, 1))
+GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +31,16 @@ def corpus(tmp_path_factory):
 
 def path(corpus, name):
     return str(corpus / name)
+
+
+def spoiled_pair():
+    """The first degree-3 kernel pair of l2 adjoint plus the first basis
+    cochain that makes it not closed."""
+    cx = Complex(l2(), adjoint_rep(l2()), N01, N01)
+    f, g = cx.kernel_pairs(3)[0]
+    spoiled = next(b for b in cx.cochain_basis(3)
+                   if not cx.is_cocycle(cochain_add(f, b), g, 3))
+    return cochain_add(f, spoiled), g
 
 
 def test_corpus_emission(corpus, capsys):
@@ -194,13 +208,8 @@ def test_cocycle_check(corpus, tmp_path, capsys):
                 path(corpus, "cocycle3_L2.json")]) == 0
     capsys.readouterr()
 
-    cx = Complex(l2(), adjoint_rep(l2()), N01, N01)
-    f, g = cx.kernel_pairs(3)[0]
-    spoiled = next(b for b in cx.cochain_basis(3)
-                   if not cx.is_cocycle(cochain_add(f, b), g, 3))
     bad = tmp_path / "notclosed.json"
-    bad.write_text(jsonio.dumps(jsonio.pair_to_obj(
-        cochain_add(f, spoiled), g, 3)))
+    bad.write_text(jsonio.dumps(jsonio.pair_to_obj(*spoiled_pair(), 3)))
     assert run(["cocycle-check", path(corpus, "L2.json"),
                 path(corpus, "N01.json"), path(corpus, "adjL2.json"),
                 str(bad)]) == 1
@@ -226,13 +235,8 @@ def test_extend_extract_round_trip(corpus, tmp_path, capsys):
 
 
 def test_extend_refuses_non_cocycle(corpus, tmp_path, capsys):
-    cx = Complex(l2(), adjoint_rep(l2()), N01, N01)
-    f, g = cx.kernel_pairs(3)[0]
-    spoiled = next(b for b in cx.cochain_basis(3)
-                   if not cx.is_cocycle(cochain_add(f, b), g, 3))
     bad = tmp_path / "badpair.json"
-    bad.write_text(jsonio.dumps(jsonio.pair_to_obj(
-        cochain_add(f, spoiled), g, 3)))
+    bad.write_text(jsonio.dumps(jsonio.pair_to_obj(*spoiled_pair(), 3)))
     assert run(["extend", path(corpus, "L2.json"), path(corpus, "N01.json"),
                 path(corpus, "adjL2.json"), str(bad)]) == 1
     err = capsys.readouterr().err
@@ -324,3 +328,138 @@ def test_module_entry_point(corpus):
     none = subprocess.run([sys.executable, "-m", "nlts.cli"],
                           capture_output=True, text=True)
     assert none.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# golden output: (exit, stdout, stderr) of every command below, recorded in
+# tests/data/cli_golden.json with the corpus directory written as <corpus>.
+# Regenerate with `PYTHONPATH=src python tests/test_cli.py` only when an
+# output change is intended.
+
+def call(argv):
+    """run(argv) in process, as (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def golden_payloads(root):
+    """Write the corpus and the derived payloads the golden commands read."""
+    call(["corpus", str(root)])
+    (root / "notclosed.json").write_text(jsonio.dumps(jsonio.pair_to_obj(
+        *spoiled_pair(), 3)))
+    (root / "zeropair.json").write_text(json.dumps(
+        {"degree": 3, "f": {"degree": 3, "entries": []},
+         "g": {"degree": 1, "entries": []}}))
+    l2ctx = [str(root / name) for name in ("L2.json", "N01.json", "adjL2.json")]
+    for name, pair in (("ext.json", "cocycle3_L2.json"),
+                       ("ext0.json", "zeropair.json")):
+        (root / name).write_text(call(
+            ["extend", *l2ctx, str(root / pair)])[1])
+    (root / "other.json").write_text(call(
+        ["extend", str(root / "abelian.json"), str(root / "zeroN.json"),
+         str(root / "trivialrep.json"), str(root / "zeropair.json")])[1])
+    (root / "garbled.json").write_text("{oops")
+    (root / "wrongdim.json").write_text(json.dumps(
+        {"dim": 3, "matrix": [["1", "0", "0"], ["0", "1", "0"],
+                              ["0", "0", "1"]]}))
+    stripped = json.loads((root / "strict2sys.json").read_text())
+    for key in ("N0", "N1", "N2"):
+        stripped.pop(key)
+    (root / "nostructure.json").write_text(json.dumps(stripped))
+    for i, case in enumerate(sorted(HOSTILE)):
+        payload = HOSTILE[case][1]
+        if payload is not None:
+            (root / ("hostile%d.json" % i)).write_text(json.dumps(payload))
+
+
+def golden_commands():
+    """The golden argv lists, with corpus paths as <corpus>/name."""
+    C = lambda name: "<corpus>/" + name
+    L2, N01f, ADJ = C("L2.json"), C("N01.json"), C("adjL2.json")
+    S3, S3N, S3ADJ = C("solv3lts.json"), C("solv3N.json"), C("adjsolv3.json")
+    verify = [
+        ["check-lts", L2], ["check-lts", C("sl2lts.json")],
+        ["check-lts", S3], ["check-lts", C("l2pair.json")],
+        ["check-nijenhuis", L2, N01f], ["check-nijenhuis", S3, S3N],
+        ["check-nijenhuis", C("l2pair.json"), C("l2pairN.json")],
+        ["check-rb", L2, C("rb0N.json")],
+        ["check-mrb", L2, C("projN.json")],
+        ["check-mrb", L2, C("idN.json"), "--weight", "-1"],
+        ["check-mrb", L2, N01f, "--weight", "-1"],
+        ["check-rep", L2, ADJ], ["check-rep", S3, S3ADJ],
+        ["check-rep", C("abelian.json"), C("trivialrep.json")],
+        ["check-nrep", L2, N01f, ADJ], ["check-nrep", S3, S3N, S3ADJ],
+        ["cocycle-check", L2, N01f, ADJ, C("cocycle1_L2.json")],
+        ["cocycle-check", L2, N01f, ADJ, C("cocycle3_L2.json")],
+        ["cocycle-check", L2, N01f, ADJ, C("notclosed.json")],
+        ["equivalent", C("ext.json"), C("ext.json")],
+        ["equivalent", C("ext.json"), C("ext0.json")],
+        ["check-2sys", C("skel2sys.json")], ["check-2sys", C("strict2sys.json")],
+        ["check-n2sys", C("skel2sys.json")],
+        ["check-n2sys", C("strict2sys.json")],
+        ["check-xmod", C("xmodL2.json")], ["check-xmod", C("xmod0.json")],
+    ]
+    cohomology = [["cohomology", *ctx, "--degree", str(degree)]
+                  for ctx in ((L2, N01f, ADJ), (S3, S3N, S3ADJ))
+                  for degree in (1, 3, 5)]
+    emit = [
+        ["induced-bracket", L2, N01f], ["induce-rep", L2, N01f, ADJ],
+        ["extend", L2, N01f, ADJ, C("cocycle3_L2.json")],
+        ["extend", L2, N01f, ADJ, C("notclosed.json")],
+        ["extract", C("ext.json")],
+        ["skeletal-to-cocycle", C("skel2sys.json")],
+        ["to-xmod", C("strict2sys.json")], ["from-xmod", C("xmodL2.json")],
+    ]
+    hostile = [
+        ["check-lts", C("absent.json")], ["check-lts", C("garbled.json")],
+        ["check-lts", C("ext.json")],
+        ["check-nijenhuis", L2, C("wrongdim.json")],
+        ["search", C("l2pair.json"), "--grid=-1,0,1", "--budget", "100"],
+        ["search", L2, "--grid", "a,b"],
+        ["check-n2sys", C("nostructure.json")],
+        ["equivalent", C("ext.json"), C("other.json")],
+        ["cohomology", L2, N01f, ADJ, "--degree", "4"],
+    ]
+    for i, case in enumerate(sorted(HOSTILE)):
+        argv = HOSTILE[case][0]
+        hostile.append([C("hostile%d.json" % i) if a == "@op"
+                        else C(a) if a.endswith(".json") else a
+                        for a in argv])
+    return ([mode + argv for mode in ([], ["--json"], ["--witness"])
+             for argv in verify]
+            + [mode + argv for mode in ([], ["--json"]) for argv in cohomology]
+            + [["--json"] + argv for argv in emit]
+            + hostile)
+
+
+def golden_records(root):
+    """(argv, exit, stdout, stderr) of every golden command, run on the
+    payloads in root, with root written as <corpus>."""
+    golden_payloads(root)
+    records = []
+    for argv in golden_commands():
+        code, out, err = call([a.replace("<corpus>", str(root)) for a in argv])
+        records.append({"argv": argv, "exit": code,
+                        "stdout": out.replace(str(root), "<corpus>"),
+                        "stderr": err.replace(str(root), "<corpus>")})
+    return records
+
+
+def test_cli_output_matches_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    assert [r["argv"] for r in golden] == golden_commands()
+    for got, want in zip(golden_records(tmp_path), golden):
+        assert got == want, want["argv"]
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as scratch:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(golden_records(pathlib.Path(scratch)),
+                                     indent=1) + "\n")

@@ -7,7 +7,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
+from nlts import jsonio
+from nlts.cli import jsonable
 from nlts.linalg import (
+    dot,
     format_rational,
     ident,
     kernel_basis,
@@ -18,6 +21,7 @@ from nlts.linalg import (
     solve_linear,
     zeros,
 )
+from nlts.operators import _Poly
 
 
 def test_rank_known_matrices():
@@ -150,3 +154,70 @@ def test_solve_recovers_rhs(A, data):
         assert x == sympy_free_zero_solution(A, b)
         assert solve_linear(sparse_thirds(A), [Fraction(v, 3) for v in b],
                             cols) == x
+
+
+# ---------------------------------------------------------------------------
+# products: the sparse dot, matvec and matmul against the full sum
+
+def full_dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+sparse_scalar = st.one_of(
+    st.just(0), st.just(0), small_int,
+    st.builds(Fraction, small_int, st.integers(min_value=1, max_value=4)))
+
+
+@st.composite
+def sparse_product(draw):
+    """A (rows x inner) matrix and an (inner x cols) matrix of mostly zero
+    int and Fraction entries, some rows and columns all zero."""
+    rows, inner, cols = (draw(st.integers(min_value=1, max_value=5))
+                         for _ in range(3))
+    A = [[draw(sparse_scalar) for _ in range(inner)] for _ in range(rows)]
+    B = [[draw(sparse_scalar) for _ in range(cols)] for _ in range(inner)]
+    A[draw(st.integers(0, rows - 1))] = [0] * inner
+    zero_col = draw(st.integers(0, cols - 1))
+    for row in B:
+        row[zero_col] = 0
+    return tuple(map(tuple, A)), tuple(map(tuple, B))
+
+
+@given(sparse_product())
+@settings(max_examples=200, deadline=None)
+def test_products_equal_full_sums(AB):
+    A, B = AB
+    columns = list(zip(*B))
+    assert matmul(A, B) == tuple(tuple(full_dot(row, col) for col in columns)
+                                 for row in A)
+    for col in columns:
+        assert matvec(A, col) == tuple(full_dot(row, col) for row in A)
+        for row in A:
+            assert dot(row, col) == full_dot(row, col)
+
+
+@given(sparse_product())
+@settings(max_examples=50, deadline=None)
+def test_products_on_polynomial_entries(AB):
+    A, B = AB
+    x = lambda k: _Poly({(k,): 1})
+    poly_A = tuple(tuple(c * x(r) for c in row) for r, row in enumerate(A))
+    v = tuple(x(10 + j) + row[0] for j, row in enumerate(B))
+    for got, want in zip(matvec(poly_A, v),
+                         (full_dot(row, v) for row in poly_A)):
+        assert (got or 0) == (want or 0)
+    columns = list(zip(*B))
+    for got, row in zip(matmul(poly_A, B), poly_A):
+        assert [g or 0 for g in got] == [full_dot(row, col) or 0
+                                         for col in columns]
+
+
+def test_zero_products_render_as_zero():
+    Z = matmul(zeros(2), ((Fraction(1, 2), 0), (0, Fraction(3))))
+    assert Z == ((0, 0), (0, 0))
+    assert {type(x) for row in Z for x in row} == {int}
+    assert matvec(((Fraction(1, 2), 0),), (0, 5)) == (0,)
+    assert dot((Fraction(1, 2), 0), (0, Fraction(5))) == 0
+    assert {format_rational(x) for row in Z for x in row} == {"0"}
+    assert jsonio.operator_to_obj(Z)["matrix"] == [["0", "0"], ["0", "0"]]
+    assert jsonable(Z) == [[0, 0], [0, 0]]
