@@ -579,10 +579,7 @@ def run(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
+    except (InputError, BudgetExceeded) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

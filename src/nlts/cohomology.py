@@ -52,7 +52,7 @@ from .linalg import (
     vsub,
     vzero,
 )
-from .lts import Report
+from .lts import Report, apply_in_slot, insert_in_slot
 from .nrep import _check_fiber_operator, deformed_theta
 from .operators import _Poly, _check_operator, telescoped_brackets
 
@@ -194,23 +194,6 @@ def validate_cochain(f, dim, vdim, degree):
     return Report(not violations, violations)
 
 
-def insert_in_slot(f, args, pos, w, m):
-    """f at args with the coefficient vector w substituted into slot pos."""
-    acc = None
-    for t, c in enumerate(w):
-        if not c:
-            continue
-        v = f[args[:pos] + (t,) + args[pos + 1:]]
-        if acc is None:
-            acc = [c * x for x in v]
-        else:
-            for a in range(m):
-                acc[a] += c * v[a]
-    if acc is None:
-        return vzero(m)
-    return tuple(acc)
-
-
 def yamaguti_coboundary(f, degree, n, m, theta, D, ins):
     """Yamaguti's coboundary (see the module docstring) of an odd-degree f.
 
@@ -296,23 +279,12 @@ class Complex:
 
     def phi(self, f, degree):
         """Product over slots of (apply N in the slot) - (apply Nv after)."""
-        f = normalize_cochain(f, self.n, self.m, degree)
-        n, m, N, Nv = self.n, self.m, self.N, self.Nv
-        g = f
+        g = normalize_cochain(f, self.n, self.m, degree)
+        zero = vzero(self.m)
         for s in range(degree):
-            ng = {}
-            for t, gt in g.items():
-                ts = t[s]
-                acc = [0] * m
-                for r in range(n):
-                    c = N[r][ts]
-                    if c:
-                        v = g[t[:s] + (r,) + t[s + 1:]]
-                        for a in range(m):
-                            acc[a] += c * v[a]
-                w = matvec(Nv, gt)
-                ng[t] = tuple(x - y for x, y in zip(acc, w))
-            g = ng
+            moved = apply_in_slot(g, self.N, s)
+            g = {t: vsub(moved.get(t, zero), matvec(self.Nv, v))
+                 for t, v in g.items()}
         return g
 
     def d(self, f, g, degree):

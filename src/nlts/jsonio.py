@@ -67,6 +67,11 @@ def _matrix_in(obj, rows, cols, where):
     return tuple(out)
 
 
+def _theta_out(theta, n):
+    """The matrices theta(e_i, e_j) of an action as an n-by-n array."""
+    return [[_matrix_out(theta[(i, j)]) for j in range(n)] for i in range(n)]
+
+
 def _vec_out(v):
     return {str(i): format_rational(x) for i, x in enumerate(v) if x != 0}
 
@@ -179,10 +184,8 @@ def operator_from_obj(obj, dim=None, where="operator"):
 # representations with fiber operator
 
 def rep_to_obj(rep, Nv):
-    n, m = rep.base.dim, rep.vdim
-    theta = [[_matrix_out(rep.theta[(i, j)]) for j in range(n)]
-             for i in range(n)]
-    return {"theta": theta, "Nv": _matrix_out(Nv)}
+    return {"theta": _theta_out(rep.theta, rep.base.dim),
+            "Nv": _matrix_out(Nv)}
 
 
 def rep_from_obj(obj, base, where="representation"):
@@ -261,8 +264,7 @@ def extension_to_obj(ext):
     return {
         "base": base,
         "fiber": {"vdim": ext.m, "Nv": _matrix_out(ext.Nv)},
-        "theta": [[_matrix_out(ext.rep.theta[(i, j)]) for j in range(ext.n)]
-                  for i in range(ext.n)],
+        "theta": _theta_out(ext.rep.theta, ext.n),
         "psi": _entries_out(ext.psi),
         "chi": _matrix_out(ext.chi),
     }
@@ -359,15 +361,13 @@ def twosys_from_obj(obj, where="2-system"):
 # crossed modules
 
 def xmod_to_obj(xm):
-    n0 = xm.n0
     return {
-        "dim0": n0,
+        "dim0": xm.n0,
         "dim1": xm.n1,
         "bracket0": _entries_out(xm.base.table),
         "bracket1": _entries_out(xm.fiber.table),
         "h": _matrix_out(xm.h),
-        "lambda": [[_matrix_out(xm.action.theta[(i, j)]) for j in range(n0)]
-                   for i in range(n0)],
+        "lambda": _theta_out(xm.action.theta, xm.n0),
         "N0": _matrix_out(xm.N0),
         "N1": _matrix_out(xm.N1),
     }
@@ -414,8 +414,7 @@ def bundle_to_obj(complex_, f, g):
     return {
         "system": system_to_obj(complex_.system),
         "N": _matrix_out(complex_.N),
-        "theta": [[_matrix_out(complex_.rep.theta[(i, j)])
-                   for j in range(complex_.n)] for i in range(complex_.n)],
+        "theta": _theta_out(complex_.rep.theta, complex_.n),
         "Nv": _matrix_out(complex_.Nv),
         "f": cochain_to_obj(f, 5),
         "g": cochain_to_obj(g, 3),

@@ -12,23 +12,19 @@ defining axioms are
 
 A representation on an m-dimensional space V is a bilinear family of
 m-by-m matrices theta(x, y) subject to the two standard identities; the
-derived family is D(x, y) = theta(y, x) - theta(x, y).
+derived family is D(x, y) = theta(y, x) - theta(x, y).  The action is
+one graded bracket on T + V, stored as slot tables: a fiber argument a
+in the first slot of a bracket with x, y gives theta(x, y) a, in the
+second slot -theta(x, y) a, in the third slot D(x, y) a, and two or
+more fiber arguments give zero.  The two representation identities are
+the five-term identity of this bracket with one fiber argument, and
+every other identity of the action is a contraction of its slot tables.
 """
 
 import itertools
+from operator import itemgetter
 
-from .linalg import (
-    matadd,
-    mat_iszero,
-    matmul,
-    matscale,
-    matsub,
-    matvec,
-    vadd,
-    viszero,
-    vzero,
-    zeros,
-)
+from .linalg import mat_iszero, matsub, matvec, vadd, viszero, vzero, zeros
 
 
 class Report:
@@ -116,9 +112,6 @@ class LieTripleSystem:
                             out[t] += s * w[t]
         return tuple(out)
 
-    def basis_vector(self, i):
-        return tuple(1 if j == i else 0 for j in range(self.dim))
-
     def __eq__(self, other):
         return (isinstance(other, LieTripleSystem)
                 and self.dim == other.dim and self.table == other.table)
@@ -175,19 +168,6 @@ class Representation:
                     raise ValueError("theta(%d,%d) is not %d-by-%d" % (i, j, vdim, vdim))
                 self.theta[(i, j)] = M
 
-    def theta_vecs(self, x, y):
-        """Bilinear extension of theta to coordinate vectors."""
-        n = self.base.dim
-        out = zeros(self.vdim)
-        for i in range(n):
-            if not x[i]:
-                continue
-            for j in range(n):
-                if not y[j]:
-                    continue
-                out = matadd(out, matscale(x[i] * y[j], self.theta[(i, j)]))
-        return out
-
     def D(self, i, j):
         """D(e_i, e_j) = theta(e_j, e_i) - theta(e_i, e_j)."""
         return matsub(self.theta[(j, i)], self.theta[(i, j)])
@@ -222,13 +202,7 @@ def trivial_rep(system, vdim=1):
 def adjoint_rep(system):
     """The regular action theta(x, y)z = [z, x, y] on the system itself."""
     n = system.dim
-    theta = {}
-    for i in range(n):
-        for j in range(n):
-            cols = [system.coeff(c, i, j) for c in range(n)]
-            theta[(i, j)] = tuple(tuple(cols[c][r] for c in range(n))
-                                  for r in range(n))
-    return Representation(system, n, theta)
+    return Representation(system, n, slot_matrices(system.table, n, n, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +232,95 @@ def apply_in_slot(table, M, slot):
                     if x:
                         acc[t] += c * x
     return {k: tuple(v) for k, v in out.items()}
+
+
+def slot_matrices(table, n, m, slot):
+    """The matrices of a table with a fiber index in one slot.
+
+    ``table`` maps index tuples, with a fiber index (below m) in position
+    ``slot`` and base indices (below n) in the other two, to vectors of
+    length m; missing keys are zero.  The result maps each base pair
+    (i, j) to the m-by-m matrix whose column a is the value at the tuple
+    with a in position slot and i, j in the others, in order.  This reads
+    the action back off ``Representation.slot_tensors``.
+    """
+    zero = vzero(m)
+    out = {}
+    for key in itertools.product(range(n), repeat=2):
+        head, tail = key[:slot], key[slot:]
+        cols = [table.get(head + (a,) + tail, zero) for a in range(m)]
+        out[key] = tuple(zip(*cols))
+    return out
+
+
+def insert_in_slot(f, args, pos, w, m):
+    """f at args with the coefficient vector w substituted into slot pos."""
+    acc = None
+    for t, c in enumerate(w):
+        if not c:
+            continue
+        v = f[args[:pos] + (t,) + args[pos + 1:]]
+        if acc is None:
+            acc = [c * x for x in v]
+        else:
+            for a in range(m):
+                acc[a] += c * v[a]
+    if acc is None:
+        return vzero(m)
+    return tuple(acc)
+
+
+# The five-term defect of a graded bracket,
+#
+#   F(y1,...,y5) = -[y1,y2,[y3,y4,y5]] + [y3,[y1,y2,y4],y5]
+#                  + [[y1,y2,y3],y4,y5] + [y3,y4,[y1,y2,y5]],
+#
+# as (sign, inner, outer): inner lists the argument positions of the
+# inner bracket, outer those of the outer bracket, with None where the
+# inner bracket goes.
+_FIVE_TERMS = (
+    (-1, (2, 3, 4), (0, 1, None)),
+    (1, (0, 1, 3), (2, None, 4)),
+    (1, (0, 1, 2), (None, 3, 4)),
+    (1, (0, 1, 4), (2, 3, None)),
+)
+
+
+def _five_term(tables, m0, m1):
+    """The five-term defect F of a graded bracket with at most one fiber
+    argument, as a function five_term(args, fiber).
+
+    ``tables`` maps the slot of the fiber argument (None: base bracket)
+    to a table over every key, as ``LieTriple2System.tables``; base values
+    have length m0 and fiber values length m1.  five_term reads F at the
+    basis indices args with the fiber index at position fiber (None: no
+    fiber argument).
+    """
+    # plans[f]: per term of F, its sign, the inner bracket's key and
+    # table, the outer bracket's key and table, and the slot of the outer
+    # key that the inner bracket fills (the key holds a placeholder there)
+    plans = {}
+    for fiber in (None, 0, 1, 2, 3, 4):
+        plans[fiber] = []
+        for sign, inner, outer in _FIVE_TERMS:
+            pos = outer.index(None)
+            fin = inner.index(fiber) if fiber in inner else None
+            fout = None if fiber is None else outer.index(
+                None if fiber in inner else fiber)
+            okey = itemgetter(*(0 if p is None else p for p in outer))
+            plans[fiber].append((sign, itemgetter(*inner), tables[fin],
+                                 okey, tables[fout], pos))
+
+    def five_term(args, fiber):
+        m = m0 if fiber is None else m1
+        acc = [0] * m
+        for sign, inner, tin, outer, tout, pos in plans[fiber]:
+            v = insert_in_slot(tout, outer(args), pos, tin[inner(args)], m)
+            for r in range(m):
+                acc[r] += sign * v[r]
+        return tuple(acc)
+
+    return five_term
 
 
 def add_tables(*tables):
@@ -302,9 +365,7 @@ def check_lts(system):
                 "value": v,
             })
     zero = vzero(n)
-    for i1, i2 in itertools.product(range(n), repeat=2):
-        cols = [system.coeff(i1, i2, t) for t in range(n)]
-        L = tuple(tuple(col[r] for col in cols) for r in range(n))
+    for (i1, i2), L in slot_matrices(T, n, n, 2).items():
         if mat_iszero(L):
             continue
         lhs = {key: matvec(L, w) for key, w in T.items()}
@@ -358,48 +419,27 @@ def lts_from_lie_algebra(algebra):
 
 
 def check_representation(rep):
-    """Verify the two representation identities on all basis 4-tuples."""
-    system = rep.base
-    n = system.dim
-    m = rep.vdim
+    """Verify the two representation identities on all basis 4-tuples.
+
+    Both are the five-term defect F of the action's graded bracket (see
+    the module docstring) with one fiber argument a: the pair-action
+    identity at (i1, i2, i3, i4) is the matrix whose column a is
+    F(a, e_i1, e_i2, e_i3, e_i4), the derivation-action identity the one
+    whose column a is F(e_i1, e_i2, a, e_i3, e_i4).
+    """
+    n, m = rep.base.dim, rep.vdim
+    base = dict.fromkeys(itertools.product(range(n), repeat=3), vzero(n))
+    base.update(rep.base.table)
+    first, second, third = rep.slot_tensors()
+    five_term = _five_term({None: base, 0: first, 1: second, 2: third}, n, m)
     violations = []
-    th = rep.theta
-    D = {(i, j): rep.D(i, j) for i in range(n) for j in range(n)}
-    for i1, i2, i3, i4 in itertools.product(range(n), repeat=4):
-        w = system.coeff(i2, i3, i4)
-        acc = zeros(m)
-        for t in range(n):
-            if w[t]:
-                acc = matadd(acc, matscale(w[t], th[(i1, t)]))
-        lhs = matsub(matmul(th[(i3, i4)], th[(i1, i2)]),
-                     matmul(th[(i2, i4)], th[(i1, i3)]))
-        lhs = matsub(lhs, acc)
-        lhs = matadd(lhs, matmul(D[(i2, i3)], th[(i1, i4)]))
-        if not mat_iszero(lhs):
-            violations.append({
-                "identity": "pair-action",
-                "at": (i1, i2, i3, i4),
-                "value": lhs,
-            })
-        w123 = system.coeff(i1, i2, i3)
-        w124 = system.coeff(i1, i2, i4)
-        acc1 = zeros(m)
-        for t in range(n):
-            if w123[t]:
-                acc1 = matadd(acc1, matscale(w123[t], th[(t, i4)]))
-        acc2 = zeros(m)
-        for t in range(n):
-            if w124[t]:
-                acc2 = matadd(acc2, matscale(w124[t], th[(i3, t)]))
-        lhs2 = matsub(matmul(th[(i3, i4)], D[(i1, i2)]),
-                      matmul(D[(i1, i2)], th[(i3, i4)]))
-        lhs2 = matadd(matadd(lhs2, acc1), acc2)
-        if not mat_iszero(lhs2):
-            violations.append({
-                "identity": "derivation-action",
-                "at": (i1, i2, i3, i4),
-                "value": lhs2,
-            })
+    for t in itertools.product(range(n), repeat=4):
+        for name, pos in (("pair-action", 0), ("derivation-action", 2)):
+            cols = [five_term(t[:pos] + (a,) + t[pos:], pos)
+                    for a in range(m)]
+            if any(any(col) for col in cols):
+                violations.append({"identity": name, "at": t,
+                                   "value": tuple(zip(*cols))})
     return Report(not violations, violations)
 
 

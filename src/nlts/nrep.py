@@ -26,10 +26,8 @@ finds 4 violations there.  Run check_representation on the result to
 find out.
 """
 
-import itertools
-
-from .linalg import matadd, mat_iszero, matmul, matsub, matvec
-from .lts import Report, Representation
+from .linalg import matadd, mat_iszero, matmul, matsub
+from .lts import Report, Representation, apply_in_slot, slot_matrices
 from .operators import _check_operator, induced_bracket
 
 
@@ -40,46 +38,53 @@ def _check_fiber_operator(rep, Nv):
     return tuple(tuple(row) for row in Nv)
 
 
-def _deformed_parts(rep, N, Nv, i, j):
+def _deformed_parts(rep, N, Nv):
     """theta(Nx,Ny), I = theta(Nx,y) + theta(x,Ny) - Nv theta(x,y) and
-    theta_N(x,y) = theta(Nx,Ny) - Nv I at the basis pair (e_i, e_j)."""
-    x, y = rep.base.basis_vector(i), rep.base.basis_vector(j)
-    Nx, Ny = matvec(N, x), matvec(N, y)
-    tNN = rep.theta_vecs(Nx, Ny)
-    inner = matadd(rep.theta_vecs(Nx, y), rep.theta_vecs(x, Ny))
-    inner = matsub(inner, matmul(Nv, rep.theta[(i, j)]))
-    return tNN, inner, matsub(tNN, matmul(Nv, inner))
+    theta_N(x,y) = theta(Nx,Ny) - Nv I at every basis pair (e_i, e_j),
+    as {(i, j): (theta(Nx,Ny), I, theta_N(x,y))}.
+
+    The three actions with N in one or both base slots are contractions
+    of the action's first-slot table with N.
+    """
+    n, m = rep.base.dim, rep.vdim
+    first = rep.slot_tensors()[0]
+    moved = apply_in_slot(first, N, 1)
+    tNN, tNy, txN = (slot_matrices(t, n, m, 0) for t in (
+        apply_in_slot(moved, N, 2), moved, apply_in_slot(first, N, 2)))
+    out = {}
+    for key, th in rep.theta.items():
+        inner = matsub(matadd(tNy[key], txN[key]), matmul(Nv, th))
+        out[key] = tNN[key], inner, matsub(tNN[key], matmul(Nv, inner))
+    return out
 
 
-def compatibility_sides(rep, N, Nv, i, j):
-    """Both sides of the compatibility identity at the basis pair (e_i, e_j):
-    theta(Nx,Ny) Nv and Nv (theta_N(x,y) + I Nv), with I as in
-    ``_deformed_parts``."""
-    tNN, inner, thetaN = _deformed_parts(rep, N, Nv, i, j)
-    return matmul(tNN, Nv), matmul(Nv, matadd(thetaN, matmul(inner, Nv)))
+def compatibility_sides(rep, N, Nv):
+    """Both sides of the compatibility identity at every basis pair
+    (e_i, e_j), as {(i, j): (theta(Nx,Ny) Nv, Nv (theta_N(x,y) + I Nv))},
+    with I as in ``_deformed_parts``."""
+    return {key: (matmul(tNN, Nv),
+                  matmul(Nv, matadd(thetaN, matmul(inner, Nv))))
+            for key, (tNN, inner, thetaN)
+            in _deformed_parts(rep, N, Nv).items()}
 
 
 def check_nijenhuis_rep(rep, N, Nv):
     """Verify the compatibility identity on all basis pairs of the base."""
-    n = rep.base.dim
     N = _check_operator(rep.base, N)
     Nv = _check_fiber_operator(rep, Nv)
-    violations = []
-    for i, j in itertools.product(range(n), repeat=2):
-        lhs, rhs = compatibility_sides(rep, N, Nv, i, j)
-        if lhs != rhs:
-            violations.append({"identity": "nijenhuis-representation",
-                               "at": (i, j), "lhs": lhs, "rhs": rhs})
+    violations = [{"identity": "nijenhuis-representation", "at": key,
+                   "lhs": lhs, "rhs": rhs}
+                  for key, (lhs, rhs) in compatibility_sides(rep, N, Nv).items()
+                  if lhs != rhs]
     return Report(not violations, violations)
 
 
 def deformed_theta(rep, N, Nv):
     """The deformed action theta_N as a dict over basis pairs."""
-    n = rep.base.dim
     N = _check_operator(rep.base, N)
     Nv = _check_fiber_operator(rep, Nv)
-    return {(i, j): _deformed_parts(rep, N, Nv, i, j)[2]
-            for i, j in itertools.product(range(n), repeat=2)}
+    return {key: parts[2]
+            for key, parts in _deformed_parts(rep, N, Nv).items()}
 
 
 def induce_rep(rep, N, Nv):

@@ -18,6 +18,7 @@ from .linalg import (
     ident,
     matadd,
     mat_iszero,
+    matmul,
     matscale,
     matvec,
     vadd,
@@ -197,6 +198,17 @@ def is_morphism(source, target, N):
     return Report(not violations, violations)
 
 
+# the identity, and its weight, that the Nijenhuis identity is equivalent
+# to for each special shape of N^2 (see classify_by_square)
+_RELATED = {
+    "zero": ("rota-baxter", 0),
+    "square-zero": ("rota-baxter", 0),
+    "idempotent": ("rota-baxter", -1),
+    "involution": ("modified-rota-baxter", -1),
+    "anti-involution": ("modified-rota-baxter", 1),
+}
+
+
 def classify_by_square(system, N):
     """Detect special shapes of N^2 and check the matching operator relations.
 
@@ -212,8 +224,7 @@ def classify_by_square(system, N):
     """
     N = _check_operator(system, N)
     n = system.dim
-    N2 = tuple(tuple(sum(N[r][t] * N[t][c] for t in range(n)) for c in range(n))
-               for r in range(n))
+    N2 = matmul(N, N)
     if mat_iszero(N):
         shape = "zero"
     elif mat_iszero(N2):
@@ -228,22 +239,11 @@ def classify_by_square(system, N):
         shape = "generic"
     nij = is_nijenhuis(system, N)
     data = {"shape": shape, "nijenhuis_ok": nij.ok}
-    if shape in ("zero", "square-zero"):
-        other = is_rota_baxter(system, N, 0)
-        data["related"] = {"identity": "rota-baxter", "weight": 0, "ok": other.ok}
-        data["equivalence_holds"] = nij.ok == other.ok
-    elif shape == "idempotent":
-        other = is_rota_baxter(system, N, -1)
-        data["related"] = {"identity": "rota-baxter", "weight": -1, "ok": other.ok}
-        data["equivalence_holds"] = nij.ok == other.ok
-    elif shape == "involution":
-        other = is_modified_rb(system, N, -1)
-        data["related"] = {"identity": "modified-rota-baxter", "weight": -1,
-                           "ok": other.ok}
-        data["equivalence_holds"] = nij.ok == other.ok
-    elif shape == "anti-involution":
-        other = is_modified_rb(system, N, 1)
-        data["related"] = {"identity": "modified-rota-baxter", "weight": 1,
+    if shape in _RELATED:
+        identity, weight = _RELATED[shape]
+        check = is_rota_baxter if identity == "rota-baxter" else is_modified_rb
+        other = check(system, N, weight)
+        data["related"] = {"identity": identity, "weight": weight,
                            "ok": other.ok}
         data["equivalence_holds"] = nij.ok == other.ok
     return Report(nij.ok, nij.violations, [], data)

@@ -37,7 +37,6 @@ as degree-5 cocycle pairs, and strict ones as crossed modules.
 """
 
 import itertools
-from operator import itemgetter
 
 from .linalg import (
     matmul,
@@ -50,16 +49,25 @@ from .linalg import (
     vzero,
     zeros,
 )
-from .lts import LieTripleSystem, Report, Representation
+from .lts import (
+    LieTripleSystem,
+    Report,
+    Representation,
+    _five_term,
+    apply_in_slot,
+    check_lts,
+    check_representation,
+    insert_in_slot,
+    slot_matrices,
+)
 from .cohomology import (
     Complex,
     dense_tensor,
-    insert_in_slot,
     normalize_cochain,
     yamaguti_coboundary,
 )
-from .nrep import compatibility_sides
-from .operators import _check_operator
+from .nrep import check_nijenhuis_rep, compatibility_sides
+from .operators import _check_operator, is_nijenhuis
 
 
 def _ev(table, args, m):
@@ -124,12 +132,7 @@ class LieTriple2System:
     def slot_action(self, fiber):
         """Matrices on T1 of (x, y) -> l3 with the T1 argument in slot
         ``fiber`` and x, y in the other two slots, in order."""
-        n1, table = self.n1, self.tables[fiber]
-        out = {}
-        for i, j in itertools.product(range(self.n0), repeat=2):
-            cols = [table[_put((i, j), fiber, a)] for a in range(n1)]
-            out[(i, j)] = tuple(tuple(c[r] for c in cols) for r in range(n1))
-        return out
+        return slot_matrices(self.tables[fiber], self.n0, self.n1, fiber)
 
     def is_skeletal(self):
         return all(all(x == 0 for x in row) for row in self.h)
@@ -165,16 +168,6 @@ def associated_complex(sys2, nstr):
 
 # ---------------------------------------------------------------------------
 # the eleven 2-system conditions
-
-# The five-term defect F of the module docstring as (sign, inner, outer):
-# inner lists the argument positions of the inner bracket, outer those of
-# the outer bracket, with None where the inner bracket goes.
-_FIVE_TERMS = (
-    (-1, (2, 3, 4), (0, 1, None)),
-    (1, (0, 1, 3), (2, None, 4)),
-    (1, (0, 1, 2), (None, 3, 4)),
-    (1, (0, 1, 4), (2, 3, None)),
-)
 
 # L3 compares [h a, b, x] with [a, h b, x] for a, b in the named slot pair
 _L3_PAIRS = (("first", 0, 1), ("second", 0, 2), ("third", 1, 2))
@@ -243,33 +236,8 @@ def check_2system(sys2):
             if not viszero(w):
                 bad("L4-mixed-cyclic", (i, j, a), w)
 
-    # L5..L10: l5, through h, measures the five-term defect F.  plans[f]
-    # reads each term of F with the T1 argument at position f (None: no T1
-    # argument): its sign, the inner bracket's key and table, the outer
-    # bracket's key and table, and the slot of the outer key that the
-    # inner bracket fills (the key holds a placeholder there).
-    plans = {}
-    for fiber in (None, 0, 1, 2, 3, 4):
-        plans[fiber] = []
-        for sign, inner, outer in _FIVE_TERMS:
-            pos = outer.index(None)
-            fin = inner.index(fiber) if fiber in inner else None
-            fout = None if fiber is None else outer.index(
-                None if fiber in inner else fiber)
-            okey = itemgetter(*(0 if p is None else p for p in outer))
-            plans[fiber].append((sign, itemgetter(*inner), s.tables[fin],
-                                 okey, s.tables[fout], pos))
-
-    def five_term(args, fiber):
-        """F at basis indices args, the T1 argument at position fiber."""
-        m = n0 if fiber is None else n1
-        acc = [0] * m
-        for sign, inner, tin, outer, tout, pos in plans[fiber]:
-            v = insert_in_slot(tout, outer(args), pos, tin[inner(args)], m)
-            for r in range(m):
-                acc[r] += sign * v[r]
-        return tuple(acc)
-
+    # L5..L10: l5, through h, measures the five-term defect F
+    five_term = _five_term(s.tables, n0, n1)
     for t in itertools.product(range(n0), repeat=5):
         lhs = matvec(s.h, s.l5[t])
         rhs = five_term(t, None)
@@ -352,8 +320,7 @@ def check_nijenhuis_2system(sys2, nstr):
 
     # (e): the defect of the third-slot action is N2(., ., h(.))
     rep = Representation(cx.system, n1, s.slot_action(2))
-    for i, j in itertools.product(range(n0), repeat=2):
-        lhs, rhs = compatibility_sides(rep, N0, N1, i, j)
+    for (i, j), (lhs, rhs) in compatibility_sides(rep, N0, N1).items():
         defect = matsub(rhs, lhs)
         for a in range(n1):
             lhs = tuple(defect[r][a] for r in range(n1))
@@ -427,11 +394,12 @@ class CrossedModule:
 
 
 def check_crossed_module(xm):
-    """All defining conditions of a crossed module of this kind."""
-    from .lts import check_lts, check_representation
-    from .operators import is_nijenhuis
-    from .nrep import check_nijenhuis_rep
+    """All defining conditions of a crossed module of this kind.
 
+    The three conditions on h read contractions of slot tables: the base
+    table with h in all three slots or in slot 0, and the action's
+    first-slot table with h in its two base slots.
+    """
     v = []
     base_ok = check_lts(xm.base)
     for item in base_ok.violations:
@@ -456,35 +424,35 @@ def check_crossed_module(xm):
         v.append({"condition": "operator-h-commutation", "value": comm})
 
     # h is a homomorphism of triple systems
-    e1 = [xm.fiber.basis_vector(a) for a in range(n1)]
+    zero0 = vzero(n0)
+    h_first = apply_in_slot(xm.base.table, h, 0)
+    h_all = apply_in_slot(apply_in_slot(h_first, h, 1), h, 2)
     for t in itertools.product(range(n1), repeat=3):
         lhs = matvec(h, xm.fiber.coeff(*t))
-        rhs = xm.base.bracket(matvec(h, e1[t[0]]), matvec(h, e1[t[1]]),
-                              matvec(h, e1[t[2]]))
+        rhs = h_all.get(t, zero0)
         if lhs != rhs:
             v.append({"condition": "h-homomorphism", "at": t,
                       "lhs": lhs, "rhs": rhs})
 
     # h carries the action to the base bracket
-    e0 = [xm.base.basis_vector(i) for i in range(n0)]
+    first = xm.action.slot_tensors()[0]
     for i, j in itertools.product(range(n0), repeat=2):
-        th = xm.action.theta[(i, j)]
         for a in range(n1):
-            lhs = matvec(h, tuple(th[r][a] for r in range(n1)))
-            rhs = xm.base.bracket(matvec(h, e1[a]), e0[i], e0[j])
+            lhs = matvec(h, first[(a, i, j)])
+            rhs = h_first.get((a, i, j), zero0)
             if lhs != rhs:
                 v.append({"condition": "h-equivariance", "at": (i, j, a),
                           "lhs": lhs, "rhs": rhs})
 
     # the action on h-images recovers the fiber bracket
-    for a, b in itertools.product(range(n1), repeat=2):
-        act = xm.action.theta_vecs(matvec(h, e1[a]), matvec(h, e1[b]))
-        for c in range(n1):
-            lhs = tuple(act[r][c] for r in range(n1))
-            rhs = xm.fiber.coeff(c, a, b)
-            if lhs != rhs:
-                v.append({"condition": "peiffer", "at": (a, b, c),
-                          "lhs": lhs, "rhs": rhs})
+    act = apply_in_slot(apply_in_slot(first, h, 1), h, 2)
+    zero1 = vzero(n1)
+    for a, b, c in itertools.product(range(n1), repeat=3):
+        lhs = act.get((c, a, b), zero1)
+        rhs = xm.fiber.coeff(c, a, b)
+        if lhs != rhs:
+            v.append({"condition": "peiffer", "at": (a, b, c),
+                      "lhs": lhs, "rhs": rhs})
     return Report(not v, v)
 
 

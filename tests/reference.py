@@ -314,9 +314,12 @@ def D_of(theta, n):
             for i, j in itertools.product(range(n), repeat=2)}
 
 
-def check_rep_identities(n, br, theta, m):
-    """The two pair/derivation action identities on all basis 4-tuples."""
+def rep_identity_defects(n, br, theta, m):
+    """Witnesses (identity, 4-tuple, value) of the pair-action and
+    derivation-action identities, in basis 4-tuple order, the pair-action
+    one first at each tuple."""
     D = D_of(theta, n)
+    out = []
     for i1, i2, i3, i4 in itertools.product(range(n), repeat=4):
         t34, t12 = theta[(i3, i4)], theta[(i1, i2)]
         t24, t13 = theta[(i2, i4)], theta[(i1, i3)]
@@ -330,7 +333,7 @@ def check_rep_identities(n, br, theta, m):
         lhs = matsub(lhs, thx1w)
         lhs = matadd(lhs, matmul(D[(i2, i3)], t14))
         if not mat_iszero(lhs):
-            return False
+            out.append(("pair-action", (i1, i2, i3, i4), lhs))
         w123 = br[(i1, i2, i3)]
         w124 = br[(i1, i2, i4)]
         thw4 = zeros(m, m)
@@ -344,8 +347,13 @@ def check_rep_identities(n, br, theta, m):
         lhs2 = matsub(matmul(t34, D[(i1, i2)]), matmul(D[(i1, i2)], t34))
         lhs2 = matadd(matadd(lhs2, thw4), th3w)
         if not mat_iszero(lhs2):
-            return False
-    return True
+            out.append(("derivation-action", (i1, i2, i3, i4), lhs2))
+    return out
+
+
+def check_rep_identities(n, br, theta, m):
+    """The two pair/derivation action identities on all basis 4-tuples."""
+    return not rep_identity_defects(n, br, theta, m)
 
 
 def check_operator_identity(n, br, theta, m, N, Nv):
@@ -380,6 +388,37 @@ def theta_deformed(n, theta, m, N, Nv):
                        theta_vecs(theta, n, x, Ny))
         inner = matsub(inner, matmul(Nv, theta[(i, j)]))
         out[(i, j)] = matsub(tNN, matmul(Nv, inner))
+    return out
+
+
+def crossed_module_h_defects(n0, n1, br0, br1, h, theta):
+    """Witnesses (condition, at, lhs, rhs) of the three conditions that tie
+    h : T1 -> T0 to the brackets br0, br1 and the action theta on T1:
+
+      h [a, b, c]_1 = [h a, h b, h c]_0      "h-homomorphism" at (a, b, c),
+      h theta(x, y) a = [h a, x, y]_0        "h-equivariance" at (i, j, a),
+      theta(h a, h b) c = [c, a, b]_1        "peiffer" at (a, b, c).
+    """
+    hcol = [tuple(h[r][a] for r in range(n0)) for a in range(n1)]
+    out = []
+    for a, b, c in itertools.product(range(n1), repeat=3):
+        lhs = matvec(h, br1[(a, b, c)])
+        rhs = bracket_vecs(n0, br0, hcol[a], hcol[b], hcol[c])
+        if lhs != rhs:
+            out.append(("h-homomorphism", (a, b, c), lhs, rhs))
+    for i, j in itertools.product(range(n0), repeat=2):
+        for a in range(n1):
+            lhs = matvec(h, matvec(theta[(i, j)], basis(n1, a)))
+            rhs = bracket_vecs(n0, br0, hcol[a], basis(n0, i), basis(n0, j))
+            if lhs != rhs:
+                out.append(("h-equivariance", (i, j, a), lhs, rhs))
+    for a, b in itertools.product(range(n1), repeat=2):
+        act = theta_vecs(theta, n0, hcol[a], hcol[b])
+        for c in range(n1):
+            lhs = matvec(act, basis(n1, c))
+            rhs = br1[(c, a, b)]
+            if lhs != rhs:
+                out.append(("peiffer", (a, b, c), lhs, rhs))
     return out
 
 
@@ -919,6 +958,56 @@ def expanded_five_condition_holds(n0, n1, l3_000, l3_100, l3_010, l3_001,
         if not viszero(w):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# random inputs for the witness comparisons
+
+# the bases of the witness comparisons, as (n, br)
+WITNESS_BASES = {
+    "l2": mk_l2(), "sl2": mk_sl2_lts(), "solv3": mk_solv3_lts(),
+    "l2+abelian1": (3, mk_bracket(3, {(0, 1, 1): {0: 1}, (1, 0, 1): {0: -1}})),
+}
+
+ENTRIES = (-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2))
+
+
+def rand_matrix(rng, rows, cols, values=(-1, 0, 0, 1, Fraction(1, 2))):
+    return tuple(tuple(rng.choice(values) for _ in range(cols))
+                 for _ in range(rows))
+
+
+def rand_change_of_basis(rng, m):
+    """A random invertible m-by-m matrix P with Fraction entries and its
+    inverse, as (P, P^-1)."""
+    while True:
+        P = rand_matrix(rng, m, m)
+        M = sympy.Matrix(P)
+        if M.det() != 0:
+            inv = M.inv()
+            return P, tuple(tuple(Fraction(int(inv[r, c].p), int(inv[r, c].q))
+                                  for c in range(m)) for r in range(m))
+
+
+def conjugate_theta(theta, P, Pinv):
+    """The action in the fiber basis given by the columns of P."""
+    return {k: matmul(Pinv, matmul(M, P)) for k, M in theta.items()}
+
+
+def transport_bracket(n, br, P, Pinv):
+    """The bracket in the basis given by the columns of P."""
+    cols = [tuple(P[r][a] for r in range(n)) for a in range(n)]
+    return {t: matvec(Pinv, bracket_vecs(n, br, *(cols[a] for a in t)))
+            for t in itertools.product(range(n), repeat=3)}
+
+
+def perturb(rng, x):
+    """A copy of a vector or matrix x with one random entry shifted by a
+    random nonzero amount."""
+    if not isinstance(x, tuple):
+        return x + rng.choice(ENTRIES)
+    k = rng.randrange(len(x))
+    return x[:k] + (perturb(rng, x[k]),) + x[k + 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,12 @@ def golden_payloads(root):
     for key in ("N0", "N1", "N2"):
         stripped.pop(key)
     (root / "nostructure.json").write_text(json.dumps(stripped))
+    badrep = json.loads((root / "adjsolv3.json").read_text())
+    badrep["theta"][0][2][1][1] = "1/2"
+    (root / "badrep.json").write_text(json.dumps(badrep))
+    badxmod = json.loads((root / "xmodL2.json").read_text())
+    badxmod["h"][1][0] = "1"
+    (root / "badxmod.json").write_text(json.dumps(badxmod))
     for i, case in enumerate(sorted(HOSTILE)):
         payload = HOSTILE[case][1]
         if payload is not None:
@@ -393,7 +399,9 @@ def golden_commands():
         ["check-mrb", L2, N01f, "--weight", "-1"],
         ["check-rep", L2, ADJ], ["check-rep", S3, S3ADJ],
         ["check-rep", C("abelian.json"), C("trivialrep.json")],
+        ["check-rep", S3, C("badrep.json")],
         ["check-nrep", L2, N01f, ADJ], ["check-nrep", S3, S3N, S3ADJ],
+        ["check-nrep", L2, C("idN.json"), ADJ],
         ["cocycle-check", L2, N01f, ADJ, C("cocycle1_L2.json")],
         ["cocycle-check", L2, N01f, ADJ, C("cocycle3_L2.json")],
         ["cocycle-check", L2, N01f, ADJ, C("notclosed.json")],
@@ -403,6 +411,7 @@ def golden_commands():
         ["check-n2sys", C("skel2sys.json")],
         ["check-n2sys", C("strict2sys.json")],
         ["check-xmod", C("xmodL2.json")], ["check-xmod", C("xmod0.json")],
+        ["check-xmod", C("badxmod.json")],
     ]
     cohomology = [["cohomology", *ctx, "--degree", str(degree)]
                   for ctx in ((L2, N01f, ADJ), (S3, S3N, S3ADJ))

@@ -1,5 +1,8 @@
 """Triple-system axioms, stock systems, and representation identities."""
 
+import itertools
+import random
+
 import pytest
 
 import reference as ref
@@ -146,6 +149,45 @@ def test_representation_violation_witness():
     assert not report.ok
     kinds = {item["identity"] for item in report.violations}
     assert kinds <= {"pair-action", "derivation-action"}
+
+
+def _valid_actions(rng, n, br):
+    """(m, theta) for representations: the adjoint one, the adjoint one
+    in a random fiber basis, and trivial ones with m = 1..3."""
+    adj = ref.adjoint_theta(n, br)
+    yield n, adj
+    yield n, ref.conjugate_theta(adj, *ref.rand_change_of_basis(rng, n))
+    for m in (1, 2, 3):
+        yield m, {k: ref.zeros(m) for k in adj}
+
+
+@pytest.mark.parametrize("name", sorted(ref.WITNESS_BASES))
+def test_representation_witnesses_match_oracle(name):
+    # valid actions, each with one entry perturbed, and random families
+    # with m = 1..3, against the oracle's witness list: names, tuples,
+    # values and order
+    n, br = ref.WITNESS_BASES[name]
+    system = LieTripleSystem(n, br)
+    rng = random.Random(name)
+    cases = []
+    for m, theta in _valid_actions(rng, n, br):
+        cases.append((m, theta))
+        for _ in range(2):
+            k = rng.choice(sorted(theta))
+            cases.append((m, {**theta, k: ref.perturb(rng, theta[k])}))
+    for m in (1, 2, 3):
+        cases.append((m, {k: ref.rand_matrix(rng, m, m) for k in
+                          itertools.product(range(n), repeat=2)}))
+    failing = 0
+    for m, theta in cases:
+        report = check_representation(Representation(system, m, theta))
+        mine = [(v["identity"], v["at"], v["value"])
+                for v in report.violations]
+        assert all(len(v) == 3 for v in report.violations)
+        assert mine == ref.rep_identity_defects(n, br, theta, m)
+        assert report.ok == (not mine)
+        failing += not report.ok
+    assert 0 < failing < len(cases)
 
 
 def test_representation_D_is_theta_flip():

@@ -152,7 +152,7 @@ def test_compatibility_defect_of_derived_family():
         N, Nv = entries(3, 3), entries(m, m)
 
         def defect(r, i, j):
-            lhs, rhs = compatibility_sides(r, N, Nv, i, j)
+            lhs, rhs = compatibility_sides(r, N, Nv)[(i, j)]
             return ref.matsub(rhs, lhs)
 
         for i, j in theta:

@@ -3,6 +3,7 @@ translations to degree-5 pairs and crossed modules."""
 
 from fractions import Fraction
 import itertools
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from nlts import (
     Complex,
     CrossedModule,
     abelian,
+    LieTripleSystem,
     adjoint_rep,
     check_2system,
     check_crossed_module,
@@ -392,3 +394,47 @@ def test_operator_h_commutation_violation():
     assert not report.ok
     conds = {item["condition"] for item in report.violations}
     assert "operator-h-commutation" in conds
+
+
+H_CONDITIONS = ("h-homomorphism", "h-equivariance", "peiffer")
+
+
+def _valid_crossed_modules(rng, n, br):
+    """(n1, fiber bracket, h, action) of crossed modules: the identity one,
+    the identity one in a random fiber basis, and zero-h ones with an
+    abelian fiber of dimension 1..3 and a random action."""
+    adj = ref.adjoint_theta(n, br)
+    yield n, br, ident(n), adj
+    P, Pinv = ref.rand_change_of_basis(rng, n)
+    yield (n, ref.transport_bracket(n, br, P, Pinv), P,
+           ref.conjugate_theta(adj, P, Pinv))
+    for m in (1, 2, 3):
+        yield (m, ref.mk_bracket(m, {}), zeros(n, m),
+               {k: ref.rand_matrix(rng, m, m) for k in adj})
+
+
+@pytest.mark.parametrize("name", sorted(ref.WITNESS_BASES))
+def test_crossed_module_h_witnesses_match_oracle(name):
+    # valid crossed modules, each with one entry of h, of the fiber
+    # bracket or of the action perturbed, against the oracle's witness
+    # list of the three h-conditions: names, tuples, values and order
+    n, br = ref.WITNESS_BASES[name]
+    base = LieTripleSystem(n, br)
+    rng = random.Random(name)
+    cases = []
+    for m, br1, h, theta in _valid_crossed_modules(rng, n, br):
+        cases.append((m, br1, h, theta))
+        cases.append((m, br1, ref.perturb(rng, h), theta))
+        t = rng.choice(sorted(br1))
+        cases.append((m, {**br1, t: ref.perturb(rng, br1[t])}, h, theta))
+        k = rng.choice(sorted(theta))
+        cases.append((m, br1, h, {**theta, k: ref.perturb(rng, theta[k])}))
+    failing = 0
+    for m, br1, h, theta in cases:
+        xm = CrossedModule(base, zeros(n), m, br1, h, theta, zeros(m))
+        mine = [(v["condition"], v["at"], v["lhs"], v["rhs"])
+                for v in check_crossed_module(xm).violations
+                if v["condition"] in H_CONDITIONS]
+        assert mine == ref.crossed_module_h_defects(n, m, br, br1, h, theta)
+        failing += bool(mine)
+    assert 0 < failing < len(cases)
