@@ -5,9 +5,13 @@ payloads, invokes the library, prints a deterministic report, and exits
 0 when the verdict is positive, 1 when it is negative, and 2 when an
 input is malformed or ill-typed.  ``--json`` switches to machine output
 and ``--witness`` adds the failing values to text output.
+
+The parser is built once per process, and each command imports the
+layers past ``lts`` when it runs, so ``check-lts`` loads none of them.
 """
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -27,33 +31,6 @@ from .lts import (
     sl2_lie,
     solv3_lie,
     trivial_rep,
-)
-from .operators import (
-    BudgetExceeded,
-    grid_search_nijenhuis,
-    induced_bracket,
-    is_modified_rb,
-    is_nijenhuis,
-    is_rota_baxter,
-)
-from .nrep import check_nijenhuis_rep, induce_rep
-from .cohomology import Complex, zero_cochain
-from .extensions import (
-    build_extension,
-    chi_to_cochain,
-    cochain_to_chi,
-    extensions_equivalent,
-    extract_cocycle,
-)
-from .twosys import (
-    CrossedModule,
-    check_2system,
-    check_crossed_module,
-    check_nijenhuis_2system,
-    cocycle_to_skeletal,
-    crossed_module_to_strict,
-    skeletal_to_cocycle,
-    strict_to_crossed_module,
 )
 
 
@@ -138,24 +115,28 @@ def cmd_check_lts(args):
 
 
 def cmd_check_nijenhuis(args):
+    from .operators import is_nijenhuis
     system = _load_system(args.system)
     N, _ = _load_operator(args.operator, system.dim)
     return _print_report(is_nijenhuis(system, N), args)
 
 
 def cmd_check_rb(args):
+    from .operators import is_rota_baxter
     system = _load_system(args.system)
     R, w = _load_operator(args.operator, system.dim)
     return _print_report(is_rota_baxter(system, R, _weight(args, w)), args)
 
 
 def cmd_check_mrb(args):
+    from .operators import is_modified_rb
     system = _load_system(args.system)
     R, w = _load_operator(args.operator, system.dim)
     return _print_report(is_modified_rb(system, R, _weight(args, w)), args)
 
 
 def cmd_induced_bracket(args):
+    from .operators import induced_bracket
     system = _load_system(args.system)
     N, _ = _load_operator(args.operator, system.dim)
     deformed, report = induced_bracket(system, N)
@@ -172,12 +153,16 @@ def cmd_induced_bracket(args):
 
 
 def cmd_search(args):
+    from .operators import BudgetExceeded, grid_search_nijenhuis
     system = _load_system(args.system)
     try:
         values = [parse_rational(v) for v in args.grid.split(",") if v != ""]
     except ValueError as exc:
         raise InputError("bad --grid value: %s" % exc) from exc
-    found = grid_search_nijenhuis(system, values, args.budget)
+    try:
+        found = grid_search_nijenhuis(system, values, args.budget)
+    except BudgetExceeded as exc:
+        raise InputError(str(exc)) from exc
     if args.json:
         payload = {"count": len(found),
                    "matrices": [jsonable(N) for N in found]}
@@ -197,6 +182,7 @@ def cmd_check_rep(args):
 
 
 def cmd_check_nrep(args):
+    from .nrep import check_nijenhuis_rep
     system = _load_system(args.system)
     N, _ = _load_operator(args.operator, system.dim)
     rep, Nv = _load_rep(args.representation, system)
@@ -204,6 +190,7 @@ def cmd_check_nrep(args):
 
 
 def cmd_induce_rep(args):
+    from .nrep import induce_rep
     system = _load_system(args.system)
     N, _ = _load_operator(args.operator, system.dim)
     rep, Nv = _load_rep(args.representation, system)
@@ -216,6 +203,7 @@ def cmd_induce_rep(args):
 # cohomology commands
 
 def _load_complex(args):
+    from .cohomology import Complex
     system = _load_system(args.system)
     N, _ = _load_operator(args.operator, system.dim)
     rep, Nv = _load_rep(args.representation, system)
@@ -245,6 +233,8 @@ def cmd_cocycle_check(args):
 # extension commands
 
 def cmd_extend(args):
+    from .cohomology import zero_cochain
+    from .extensions import build_extension, cochain_to_chi
     cx = _load_complex(args)
     f, g, _ = jsonio.pair_from_obj(load_json(args.pair), cx.n, cx.m, 3,
                                    args.pair)
@@ -267,6 +257,7 @@ def cmd_extend(args):
 
 
 def cmd_extract(args):
+    from .extensions import chi_to_cochain, extract_cocycle
     ext = jsonio.extension_from_obj(load_json(args.extension), args.extension)
     psi, chi = extract_cocycle(ext)
     payload = {"degree": 3,
@@ -277,6 +268,7 @@ def cmd_extract(args):
 
 
 def cmd_equivalent(args):
+    from .extensions import extensions_equivalent
     ext1 = jsonio.extension_from_obj(load_json(args.extension1), args.extension1)
     ext2 = jsonio.extension_from_obj(load_json(args.extension2), args.extension2)
     try:
@@ -309,11 +301,13 @@ def _load_twosys(path, need_structure):
 
 
 def cmd_check_2sys(args):
+    from .twosys import check_2system
     sys2, _ = _load_twosys(args.file, False)
     return _print_report(check_2system(sys2), args)
 
 
 def cmd_check_n2sys(args):
+    from .twosys import check_2system, check_nijenhuis_2system
     sys2, nstr = _load_twosys(args.file, True)
     base = check_2system(sys2)
     struct = check_nijenhuis_2system(sys2, nstr)
@@ -325,6 +319,7 @@ def cmd_check_n2sys(args):
 
 
 def cmd_skeletal_to_cocycle(args):
+    from .twosys import skeletal_to_cocycle
     sys2, nstr = _load_twosys(args.file, True)
     try:
         cx, f, g = skeletal_to_cocycle(sys2, nstr)
@@ -335,6 +330,7 @@ def cmd_skeletal_to_cocycle(args):
 
 
 def cmd_cocycle_to_skeletal(args):
+    from .twosys import cocycle_to_skeletal
     cx, f, g = jsonio.bundle_from_obj(load_json(args.file), args.file)
     sys2, nstr = cocycle_to_skeletal(cx, f, g)
     _emit_obj(jsonio.twosys_to_obj(sys2, nstr), args)
@@ -342,11 +338,13 @@ def cmd_cocycle_to_skeletal(args):
 
 
 def cmd_check_xmod(args):
+    from .twosys import check_crossed_module
     xm = jsonio.xmod_from_obj(load_json(args.file), args.file)
     return _print_report(check_crossed_module(xm), args)
 
 
 def cmd_to_xmod(args):
+    from .twosys import strict_to_crossed_module
     sys2, nstr = _load_twosys(args.file, True)
     try:
         xm = strict_to_crossed_module(sys2, nstr)
@@ -357,6 +355,7 @@ def cmd_to_xmod(args):
 
 
 def cmd_from_xmod(args):
+    from .twosys import crossed_module_to_strict
     xm = jsonio.xmod_from_obj(load_json(args.file), args.file)
     sys2, nstr = crossed_module_to_strict(xm)
     _emit_obj(jsonio.twosys_to_obj(sys2, nstr), args)
@@ -377,6 +376,12 @@ def emit_corpus(target):
     Returns the sorted list of file names written.  Every structure is
     checked against its own validator before writing.
     """
+    from .operators import is_nijenhuis
+    from .nrep import check_nijenhuis_rep
+    from .cohomology import Complex, zero_cochain
+    from .twosys import (CrossedModule, check_2system, check_crossed_module,
+                         check_nijenhuis_2system, cocycle_to_skeletal,
+                         strict_to_crossed_module)
     os.makedirs(target, exist_ok=True)
     files = {}
 
@@ -482,6 +487,7 @@ def cmd_corpus(args):
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nlts",
@@ -575,11 +581,10 @@ def build_parser():
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, BudgetExceeded) as exc:
+    except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

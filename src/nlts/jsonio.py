@@ -5,15 +5,15 @@ accepted on input).  Sparse tensors are lists of entries
 ``{"args": [...], "out": {"index": "p/q", ...}}`` with omitted entries
 equal to zero.  Serialization is deterministic: keys are sorted and the
 layout is fixed, so identical objects produce identical bytes.
+
+Readers import the layer of the object they build when called, so
+reading a system or an operator loads no cochain or 2-system code.
 """
 
 import json
 
 from .linalg import format_rational, parse_rational
 from .lts import LieTripleSystem, Representation
-from .cohomology import normalize_cochain
-from .extensions import AbelianExtension
-from .twosys import CrossedModule, LieTriple2System, Nijenhuis2Structure
 
 
 class InputError(ValueError):
@@ -220,6 +220,7 @@ def cochain_to_obj(f, degree):
 
 
 def cochain_from_obj(obj, dim, vdim, degree=None, where="cochain"):
+    from .cohomology import normalize_cochain
     if not isinstance(obj, dict) or "entries" not in obj:
         raise InputError('%s must be {"degree": d, "entries": [...]}' % where)
     d = obj.get("degree", degree)
@@ -271,6 +272,7 @@ def extension_to_obj(ext):
 
 
 def extension_from_obj(obj, where="extension"):
+    from .extensions import AbelianExtension
     if not isinstance(obj, dict) or "base" not in obj or "fiber" not in obj:
         raise InputError('%s must have "base", "fiber", "theta", "psi", "chi"'
                          % where)
@@ -321,9 +323,18 @@ def twosys_to_obj(sys2, nstr=None):
     return obj
 
 
+_TWOSYS_KEYS = {"dim0", "dim1", "h", "l3_000", "l3_t1slot0", "l3_t1slot1",
+                "l3_t1slot2", "l5", "N0", "N1", "N2"}
+
+
 def twosys_from_obj(obj, where="2-system"):
+    from .twosys import LieTriple2System, Nijenhuis2Structure
     if not isinstance(obj, dict) or "dim0" not in obj or "dim1" not in obj:
         raise InputError('%s must carry "dim0" and "dim1"' % where)
+    unknown = sorted(obj.keys() - _TWOSYS_KEYS)
+    if unknown:
+        raise InputError("%s has keys outside the 2-system schema: %s"
+                         % (where, ", ".join(unknown)))
     n0, n1 = obj["dim0"], obj["dim1"]
     if not (isinstance(n0, int) and isinstance(n1, int) and n0 >= 0 and n1 >= 0):
         raise InputError("%s dims must be nonnegative integers" % where)
@@ -374,6 +385,7 @@ def xmod_to_obj(xm):
 
 
 def xmod_from_obj(obj, where="crossed module"):
+    from .twosys import CrossedModule
     if not isinstance(obj, dict) or "dim0" not in obj or "dim1" not in obj:
         raise InputError('%s must carry "dim0" and "dim1"' % where)
     n0, n1 = obj["dim0"], obj["dim1"]

@@ -7,14 +7,16 @@ installed module entry point through a subprocess.
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 from nlts import Complex, adjoint_rep, l2
-from nlts.cli import run
+from nlts.cli import build_parser, run
 from nlts.cohomology import cochain_add
 from nlts import jsonio
 
@@ -153,6 +155,8 @@ HOSTILE = {
     "boolean bracket index": (
         ["check-lts", "@op"],
         {"dim": 2, "bracket": [{"i": False, "j": 1, "k": 1, "out": {"0": "1"}}]}),
+    "zero tables read from a crossed-module payload": (
+        ["check-2sys", "xmodL2.json"], None),
 }
 
 
@@ -330,6 +334,28 @@ def test_module_entry_point(corpus):
     assert none.returncode == 2
 
 
+def loaded_after(code):
+    """The nlts modules a fresh interpreter holds after running code."""
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(' '.join(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'nlts')))"],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_commands_load_only_their_layers(corpus):
+    """A fresh process is needed: this one has imported every layer."""
+    base = {"nlts", "nlts.jsonio", "nlts.linalg", "nlts.lts"}
+    assert loaded_after("import nlts.jsonio") == base
+    run_cli = "from nlts.cli import run\nrun(%r)"
+    assert loaded_after(run_cli % ["check-lts", path(corpus, "L2.json")]) \
+        == base | {"nlts.cli"}
+    assert loaded_after(run_cli % ["check-nijenhuis", path(corpus, "L2.json"),
+                                   path(corpus, "N01.json")]) \
+        == base | {"nlts.cli", "nlts.operators"}
+
+
 # ---------------------------------------------------------------------------
 # golden output: (exit, stdout, stderr) of every command below, recorded in
 # tests/data/cli_golden.json with the corpus directory written as <corpus>.
@@ -381,6 +407,15 @@ def golden_payloads(root):
         payload = HOSTILE[case][1]
         if payload is not None:
             (root / ("hostile%d.json" % i)).write_text(json.dumps(payload))
+
+
+SUBCOMMANDS = (
+    "check-lts", "check-nijenhuis", "check-rb", "check-mrb",
+    "induced-bracket", "search", "check-rep", "check-nrep", "induce-rep",
+    "cohomology", "cocycle-check", "extend", "extract", "equivalent",
+    "check-2sys", "check-n2sys", "skeletal-to-cocycle", "cocycle-to-skeletal",
+    "check-xmod", "to-xmod", "from-xmod", "corpus",
+)
 
 
 def golden_commands():
@@ -439,23 +474,29 @@ def golden_commands():
         hostile.append([C("hostile%d.json" % i) if a == "@op"
                         else C(a) if a.endswith(".json") else a
                         for a in argv])
+    hostile += [["check-n2sys", C("xmodL2.json")],
+                ["to-xmod", C("xmodL2.json")]]
+    helps = [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
     return ([mode + argv for mode in ([], ["--json"], ["--witness"])
              for argv in verify]
             + [mode + argv for mode in ([], ["--json"]) for argv in cohomology]
             + [["--json"] + argv for argv in emit]
-            + hostile)
+            + hostile + helps)
 
 
 def golden_records(root):
     """(argv, exit, stdout, stderr) of every golden command, run on the
-    payloads in root, with root written as <corpus>."""
+    payloads in root, with root written as <corpus>.  Help text is
+    wrapped at COLUMNS, so it is pinned to 80."""
     golden_payloads(root)
     records = []
-    for argv in golden_commands():
-        code, out, err = call([a.replace("<corpus>", str(root)) for a in argv])
-        records.append({"argv": argv, "exit": code,
-                        "stdout": out.replace(str(root), "<corpus>"),
-                        "stderr": err.replace(str(root), "<corpus>")})
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in golden_commands():
+            code, out, err = call([a.replace("<corpus>", str(root))
+                                   for a in argv])
+            records.append({"argv": argv, "exit": code,
+                            "stdout": out.replace(str(root), "<corpus>"),
+                            "stderr": err.replace(str(root), "<corpus>")})
     return records
 
 
@@ -464,6 +505,21 @@ def test_cli_output_matches_golden(tmp_path):
     assert [r["argv"] for r in golden] == golden_commands()
     for got, want in zip(golden_records(tmp_path), golden):
         assert got == want, want["argv"]
+
+
+def test_cached_parser_carries_no_state(corpus, tmp_path):
+    assert build_parser() is build_parser()
+    L2, N01f = path(corpus, "L2.json"), path(corpus, "N01.json")
+    assert call(["--json", "check-mrb", L2, N01f, "--weight", "-1"])[0] == 1
+    # N01 satisfies the weight-0 identity only, so a -1 left over fails it
+    weight0 = tmp_path / "N01weight0.json"
+    weight0.write_text(json.dumps({"dim": 2, "matrix": [["0", "1"], ["0", "1"]],
+                                   "weight": "0"}))
+    assert call(["check-mrb", L2, str(weight0)])[0] == 0
+    assert call(["check-mrb", L2, path(corpus, "projN.json")])[0] == 0
+    assert call(["cohomology", L2, N01f, path(corpus, "adjL2.json"),
+                 "--degree", "4"])[0] == 2
+    assert call(["check-lts", L2]) == (0, "ok\n", "")
 
 
 if __name__ == "__main__":

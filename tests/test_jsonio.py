@@ -185,6 +185,9 @@ def test_xmod_round_trip():
     assert back.h == xm.h and back.N0 == xm.N0 and back.N1 == xm.N1
     assert back.action.theta == xm.action.theta
     assert xmod_to_obj(back) == obj
+    # the keys a 2-system shares are not enough to read it as one
+    with pytest.raises(InputError, match="bracket0, bracket1, lambda"):
+        twosys_from_obj(obj)
 
 
 def test_bundle_round_trip(cx_l2_adj):
