@@ -961,6 +961,62 @@ def expanded_five_condition_holds(n0, n1, l3_000, l3_100, l3_010, l3_001,
 
 
 # ---------------------------------------------------------------------------
+# abelian extensions: the fiber action read off a total bracket
+
+def induced_rep_defects(n, m, total):
+    """theta and the witnesses (identity, at, lhs, rhs) of reading the fiber
+    action off a total bracket on T + V (base coordinates first, fiber
+    basis vector a at n + a), rhs None for a value that must vanish.
+
+    ``total`` maps index triples to vectors of length n + m (missing keys
+    are zero).  theta(e_i, e_j) f_a is the fiber part of [f_a, e_i, e_j],
+    whose base part must vanish ("fiber-ideal").  [e_i, f_a, e_j] must be
+    -theta(e_i, e_j) f_a ("middle-slot-action"), [e_i, e_j, f_a] must be
+    D(e_i, e_j) f_a ("third-slot-action"), and every bracket of basis
+    vectors with two or more fiber entries vanishes ("two-fiber-entries").
+    """
+    size = n + m
+    br = {t: tuple(total.get(t, vzero(size)))
+          for t in itertools.product(range(size), repeat=3)}
+    E = [basis(size, i) for i in range(n)]
+    F = [basis(size, n + a) for a in range(m)]
+
+    def bracket(X, Y, Z):
+        return bracket_vecs(size, br, X, Y, Z)
+
+    out = []
+    pairs = list(itertools.product(range(n), repeat=2))
+    cols = {}
+    for i, j in pairs:
+        for a in range(m):
+            w = bracket(F[a], E[i], E[j])
+            if not viszero(w[:n]):
+                out.append(("fiber-ideal", (n + a, i, j), w[:n], None))
+            cols[(i, j, a)] = w[n:]
+    theta = {(i, j): tuple(tuple(cols[(i, j, a)][r] for a in range(m))
+                           for r in range(m)) for i, j in pairs}
+    D = D_of(theta, n)
+    for i, j in pairs:
+        for a in range(m):
+            fa = basis(m, a)
+            for name, at, got, want in (
+                    ("middle-slot-action", (i, n + a, j),
+                     bracket(E[i], F[a], E[j]),
+                     vscale(-1, matvec(theta[(i, j)], fa))),
+                    ("third-slot-action", (i, j, n + a),
+                     bracket(E[i], E[j], F[a]), matvec(D[(i, j)], fa))):
+                want = vzero(n) + want
+                if got != want:
+                    out.append((name, at, got, want))
+    for t in itertools.product(range(size), repeat=3):
+        if sum(1 for s in t if s >= n) >= 2:
+            w = bracket(*(basis(size, s) for s in t))
+            if not viszero(w):
+                out.append(("two-fiber-entries", t, w, None))
+    return theta, out
+
+
+# ---------------------------------------------------------------------------
 # random inputs for the witness comparisons
 
 # the bases of the witness comparisons, as (n, br)

@@ -157,6 +157,8 @@ HOSTILE = {
         {"dim": 2, "bracket": [{"i": False, "j": 1, "k": 1, "out": {"0": "1"}}]}),
     "zero tables read from a crossed-module payload": (
         ["check-2sys", "xmodL2.json"], None),
+    "zero tables read from an operator payload": (
+        ["check-lts", "N01.json"], None),
 }
 
 
@@ -475,7 +477,8 @@ def golden_commands():
                         else C(a) if a.endswith(".json") else a
                         for a in argv])
     hostile += [["check-n2sys", C("xmodL2.json")],
-                ["to-xmod", C("xmodL2.json")]]
+                ["to-xmod", C("xmodL2.json")],
+                ["check-nijenhuis", N01f, C("idN.json")]]
     helps = [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
     return ([mode + argv for mode in ([], ["--json"], ["--witness"])
              for argv in verify]

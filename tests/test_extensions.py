@@ -1,11 +1,16 @@
 """Abelian extensions: assembly, validation, extraction, equivalence."""
 
+import itertools
 import random
 
 import pytest
 
+import reference as ref
+
 from nlts import (
     AbelianExtension,
+    LieTripleSystem,
+    Representation,
     build_extension,
     check_lts,
     extensions_equivalent,
@@ -14,6 +19,7 @@ from nlts import (
     is_nijenhuis,
     validate_extension,
     zero_cochain,
+    zeros,
 )
 from nlts.cohomology import cochain_add, cochain_iszero
 from nlts.extensions import chi_to_cochain, cochain_to_chi
@@ -104,6 +110,69 @@ def test_induced_representation_recovers_action(cx_l2_adj):
     rep, report = induced_representation(ext)
     assert report.ok
     assert rep.theta == cx.rep.theta
+
+
+def _corrupt_total(rng, table, n, m, kind):
+    """A copy of a total table with one entry changed: the base part of a
+    first-slot fiber bracket, a middle- or third-slot fiber bracket, or a
+    bracket with two fiber entries."""
+    size = n + m
+    i, j, k = (rng.randrange(n) for _ in range(3))
+    a, b = rng.randrange(n, size), rng.randrange(n, size)
+    at = {"fiber-ideal": (a, i, j), "middle-slot-action": (i, a, j),
+          "third-slot-action": (i, j, a),
+          "two-fiber-entries": rng.choice([(a, b, k), (k, a, b), (a, k, b)])}
+    key = at[kind]
+    w = table.get(key, (0,) * size)
+    if kind == "fiber-ideal":
+        w = ref.perturb(rng, w[:n]) + w[n:]
+    else:
+        w = ref.perturb(rng, w)
+    return {**table, key: w}
+
+
+INDUCED_KINDS = ("fiber-ideal", "middle-slot-action", "third-slot-action",
+                 "two-fiber-entries")
+
+
+@pytest.mark.parametrize("name", sorted(ref.WITNESS_BASES))
+def test_induced_representation_matches_oracle(name):
+    # totals written from an adjoint, a change-of-basis (Fraction) and a
+    # random one-dimensional action, each also with one corrupted entry
+    # per witness kind: theta and the whole witness lists against the
+    # oracle's reading through basis vectors of the total bracket
+    n, br = ref.WITNESS_BASES[name]
+    base = LieTripleSystem(n, br)
+    rng = random.Random(name)
+    adj = ref.adjoint_theta(n, br)
+    P, Pinv = ref.rand_change_of_basis(rng, n)
+    actions = [(n, adj), (n, ref.conjugate_theta(adj, P, Pinv)),
+               (1, {k: ref.rand_matrix(rng, 1, 1) for k in adj})]
+    fired = set()
+    for m, theta in actions:
+        rep = Representation(base, m, theta)
+        psi = {t: tuple(rng.choice((0,) + ref.ENTRIES) for _ in range(m))
+               for t in itertools.product(range(n), repeat=3)}
+        ext = AbelianExtension(base, rep, zeros(n), zeros(m), psi,
+                               zeros(m, n))
+        totals = [ext.total.table] + [
+            _corrupt_total(rng, ext.total.table, n, m, kind)
+            for kind in INDUCED_KINDS]
+        for table in totals:
+            corrupt = AbelianExtension(base, rep, zeros(n), zeros(m), psi,
+                                       zeros(m, n),
+                                       total=LieTripleSystem(n + m, table))
+            got, report = induced_representation(corrupt)
+            found = [(v["identity"], v["at"], v.get("lhs", v.get("value")),
+                      v.get("rhs")) for v in report.violations]
+            theta_ref, want = ref.induced_rep_defects(n, m, table)
+            assert got.theta == theta_ref
+            assert found == want
+            assert report.ok == (not want)
+            fired |= {item[0] for item in found}
+        assert induced_representation(ext)[1].ok
+        assert induced_representation(ext)[0].theta == rep.theta
+    assert fired == set(INDUCED_KINDS)
 
 
 def test_equivalence_after_coboundary_shift(cx_l2_adj):

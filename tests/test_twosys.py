@@ -414,6 +414,23 @@ def _valid_crossed_modules(rng, n, br):
 
 
 @pytest.mark.parametrize("name", sorted(ref.WITNESS_BASES))
+def test_change_of_basis_crossed_module_round_trip(name):
+    # h = P, a change of fiber basis: the fiber bracket comes back through
+    # h in the first two slots of the third-slot table
+    n, br = ref.WITNESS_BASES[name]
+    base = LieTripleSystem(n, br)
+    rng = random.Random(name)
+    m, br1, h, theta = next(itertools.islice(
+        _valid_crossed_modules(rng, n, br), 1, None))
+    xm = CrossedModule(base, zeros(n), m, br1, h, theta, zeros(m))
+    assert check_crossed_module(xm).ok
+    back = strict_to_crossed_module(*crossed_module_to_strict(xm))
+    assert back.fiber.table == xm.fiber.table
+    assert back.action.theta == xm.action.theta
+    assert back.h == xm.h
+
+
+@pytest.mark.parametrize("name", sorted(ref.WITNESS_BASES))
 def test_crossed_module_h_witnesses_match_oracle(name):
     # valid crossed modules, each with one entry of h, of the fiber
     # bracket or of the action perturbed, against the oracle's witness
