@@ -22,9 +22,21 @@ gamma yields the isomorphism (x, u) -> (x, u + gamma(x)).
 import itertools
 
 from .linalg import matmul, vzero
-from .lts import LieTripleSystem, Report, Representation, check_lts
+from .lts import (LieTripleSystem, Report, Representation, check_lts,
+                  slot_matrices)
 from .cohomology import Complex, cochain_sub, normalize_cochain
 from .operators import is_morphism, is_nijenhuis
+
+
+def _one_fiber_keys(n, m):
+    """The brackets with one fiber entry in split coordinates (base indices
+    first, fiber index a at n + a): per base pair (i, j) and fiber index a,
+    with the fiber entry first, second and third, the total key, the fiber
+    slot, and the key of that slot's table in ``slot_tensors``."""
+    for i, j, a in itertools.product(range(n), range(n), range(m)):
+        for slot in range(3):
+            head, tail = (i, j)[:slot], (i, j)[slot:]
+            yield head + (n + a,) + tail, slot, head + (a,) + tail
 
 
 class AbelianExtension:
@@ -46,16 +58,13 @@ class AbelianExtension:
 
     def _build_total(self):
         n, m = self.n, self.m
-        base, rep = self.base, self.rep
         table = {}
         for t in itertools.product(range(n), repeat=3):
-            table[t] = base.coeff(*t) + self.psi[t]
+            table[t] = self.base.coeff(*t) + self.psi[t]
         pad = vzero(n)
-        first, second, third = rep.slot_tensors()
-        for i, j, a in itertools.product(range(n), range(n), range(m)):
-            table[(n + a, i, j)] = pad + first[(a, i, j)]
-            table[(i, n + a, j)] = pad + second[(i, a, j)]
-            table[(i, j, n + a)] = pad + third[(i, j, a)]
+        slots = self.rep.slot_tensors()
+        for at, slot, key in _one_fiber_keys(n, m):
+            table[at] = pad + slots[slot][key]
         return LieTripleSystem(n + m, table)
 
     def _build_nhat(self):
@@ -131,6 +140,9 @@ def extract_cocycle(ext):
     return psi, chi
 
 
+_SLOT_IDENTITIES = {1: "middle-slot-action", 2: "third-slot-action"}
+
+
 def induced_representation(ext):
     """The fiber action read off the total bracket, with consistency checks.
 
@@ -142,29 +154,23 @@ def induced_representation(ext):
     n, m = ext.n, ext.m
     total = ext.total
     violations = []
-    theta = {}
-    for i in range(n):
-        for j in range(n):
-            cols = []
-            for a in range(m):
-                w = total.coeff(n + a, i, j)
-                if any(w[:n]):
-                    violations.append({"identity": "fiber-ideal",
-                                       "at": (n + a, i, j), "value": w[:n]})
-                cols.append(w[n:])
-            theta[(i, j)] = tuple(tuple(cols[a][r] for a in range(m))
-                                  for r in range(m))
-    rep = Representation(ext.base, m, theta)
-    _, second, third = rep.slot_tensors()
-    for i, j, a in itertools.product(range(n), range(n), range(m)):
-        for name, at, col in (
-                ("middle-slot-action", (i, n + a, j), second[(i, a, j)]),
-                ("third-slot-action", (i, j, n + a), third[(i, j, a)])):
+    first = {}
+    for at, slot, key in _one_fiber_keys(n, m):
+        if slot == 0:
             w = total.coeff(*at)
-            want = vzero(n) + col
+            if any(w[:n]):
+                violations.append({"identity": "fiber-ideal", "at": at,
+                                   "value": w[:n]})
+            first[key] = w[n:]
+    rep = Representation(ext.base, m, slot_matrices(first, n, m, 0))
+    slots = rep.slot_tensors()
+    for at, slot, key in _one_fiber_keys(n, m):
+        if slot:
+            w = total.coeff(*at)
+            want = vzero(n) + slots[slot][key]
             if w != want:
-                violations.append({"identity": name, "at": at,
-                                   "lhs": w, "rhs": want})
+                violations.append({"identity": _SLOT_IDENTITIES[slot],
+                                   "at": at, "lhs": w, "rhs": want})
     for t in itertools.product(range(n + m), repeat=3):
         if sum(1 for s in t if s >= n) >= 2:
             w = total.coeff(*t)

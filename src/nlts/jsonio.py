@@ -134,6 +134,10 @@ def system_to_obj(system):
 def system_from_obj(obj, where="system"):
     if not isinstance(obj, dict) or "dim" not in obj:
         raise InputError('%s must be {"dim": n, "bracket": [...]}' % where)
+    unknown = sorted(obj.keys() - {"dim", "bracket"})
+    if unknown:
+        raise InputError("%s has keys outside the system schema: %s"
+                         % (where, ", ".join(unknown)))
     dim = obj["dim"]
     if not isinstance(dim, int) or dim < 0:
         raise InputError("%s dim must be a nonnegative integer" % where)
@@ -276,7 +280,10 @@ def extension_from_obj(obj, where="extension"):
     if not isinstance(obj, dict) or "base" not in obj or "fiber" not in obj:
         raise InputError('%s must have "base", "fiber", "theta", "psi", "chi"'
                          % where)
-    base = system_from_obj(obj["base"], "%s.base" % where)
+    base_obj = obj["base"]
+    if isinstance(base_obj, dict):
+        base_obj = {k: v for k, v in base_obj.items() if k != "N"}
+    base = system_from_obj(base_obj, "%s.base" % where)
     n = base.dim
     if "N" not in obj["base"]:
         raise InputError("%s.base needs an operator under N" % where)

@@ -70,28 +70,6 @@ from .nrep import check_nijenhuis_rep, compatibility_sides
 from .operators import _check_operator, is_nijenhuis
 
 
-def _ev(table, args, m):
-    """A multilinear table at args, each a basis index or a coefficient
-    vector; m is the length of the table's values."""
-    vecpos = [p for p, a in enumerate(args) if not isinstance(a, int)]
-    if not vecpos:
-        return table[args]
-    p = vecpos[0]
-    if len(vecpos) == 1:
-        return insert_in_slot(table, args, p, args[p], m)
-    acc = vzero(m)
-    for t, c in enumerate(args[p]):
-        if c:
-            w = _ev(table, args[:p] + (t,) + args[p + 1:], m)
-            acc = vadd(acc, vscale(c, w))
-    return acc
-
-
-def _put(args, pos, x):
-    """args with x inserted before position pos."""
-    return args[:pos] + (x,) + args[pos:]
-
-
 class LieTriple2System:
     """Two-term Lie triple data (T0, T1, h, graded l3, l5)."""
 
@@ -111,20 +89,6 @@ class LieTriple2System:
         # the bracket tensors by the slot of the T1 argument (None: base)
         self.tables = {None: self.l3_000, 0: self.l3_100, 1: self.l3_010,
                        2: self.l3_001}
-
-    # -- multilinear evaluation, args as basis indices or vectors ----------
-
-    def l3(self, x, y, z, fiber=None):
-        """The graded bracket; ``fiber`` is the slot of the T1 argument, or
-        None for the base bracket."""
-        return _ev(self.tables[fiber], (x, y, z),
-                   self.n0 if fiber is None else self.n1)
-
-    def h_vec(self, a):
-        """h applied to a fiber basis index or vector."""
-        if isinstance(a, int):
-            return tuple(self.h[r][a] for r in range(self.n0))
-        return matvec(self.h, a)
 
     def base_system(self):
         return LieTripleSystem(self.n0, self.l3_000)
@@ -205,21 +169,26 @@ def check_2system(sys2):
                 bad("L1-mixed-antisymmetry", (a, i, j), w)
 
     # L2: h intertwines the fiber bracket with the base bracket
+    zero0, zero1 = vzero(n0), vzero(n1)
+    h_first = apply_in_slot(s.l3_000, s.h, 0)
     for a in range(n1):
-        ha = s.h_vec(a)
         for j, k in itertools.product(range(n0), repeat=2):
             lhs = matvec(s.h, s.l3_100[(a, j, k)])
-            rhs = s.l3(ha, j, k)
+            rhs = h_first.get((a, j, k), zero0)
             if lhs != rhs:
                 bad("L2", (a, j, k), lhs, rhs)
 
-    # L3: the three h-balancing identities
+    # L3: the three h-balancing identities, h in slot p against h in slot q
+    balanced = [(name, p, q, apply_in_slot(s.tables[q], s.h, p),
+                 apply_in_slot(s.tables[p], s.h, q))
+                for name, p, q in _L3_PAIRS]
     for a, b in itertools.product(range(n1), repeat=2):
-        ha, hb = s.h_vec(a), s.h_vec(b)
         for x in range(n0):
-            for name, p, q in _L3_PAIRS:
-                lhs = s.l3(*_put(_put((x,), p, ha), q, b), fiber=q)
-                rhs = s.l3(*_put(_put((x,), p, a), q, hb), fiber=p)
+            for name, p, q, left, right in balanced:
+                key = tuple(a if r == p else b if r == q else x
+                            for r in range(3))
+                lhs = left.get(key, zero1)
+                rhs = right.get(key, zero1)
                 if lhs != rhs:
                     bad("L3-" + name, (a, b, x), lhs, rhs)
 
@@ -243,12 +212,12 @@ def check_2system(sys2):
         rhs = five_term(t, None)
         if lhs != rhs:
             bad("L5", t, lhs, rhs)
+    h_l5 = [apply_in_slot(s.l5, s.h, p) for p in range(5)]
     for a in range(n1):
-        ha = s.h_vec(a)
         for t in itertools.product(range(n0), repeat=4):
             for p in range(5):
-                at = _put(t, p, a)
-                lhs = insert_in_slot(s.l5, at, p, ha, n1)
+                at = t[:p] + (a,) + t[p:]
+                lhs = h_l5[p].get(at, zero1)
                 rhs = five_term(at, p)
                 if lhs != rhs:
                     bad("L%d" % (6 + p), at, lhs, rhs)
@@ -320,11 +289,13 @@ def check_nijenhuis_2system(sys2, nstr):
 
     # (e): the defect of the third-slot action is N2(., ., h(.))
     rep = Representation(cx.system, n1, s.slot_action(2))
+    N2_h = apply_in_slot(N2, s.h, 2)
+    zero1 = vzero(n1)
     for (i, j), (lhs, rhs) in compatibility_sides(rep, N0, N1).items():
         defect = matsub(rhs, lhs)
         for a in range(n1):
             lhs = tuple(defect[r][a] for r in range(n1))
-            rhs = _ev(N2, (i, j, s.h_vec(a)), n1)
+            rhs = N2_h.get((i, j, a), zero1)
             if lhs != rhs:
                 bad("fiber-defect", (i, j, a), lhs, rhs)
 
@@ -464,14 +435,10 @@ def strict_to_crossed_module(sys2, nstr):
     """
     if not (sys2.is_strict() and nstr.is_strict_part()):
         raise ValueError("the structure is not strict (l5 or N2 is nonzero)")
-    n1 = sys2.n1
-    fiber_table = {}
-    for a, b, c in itertools.product(range(n1), repeat=3):
-        fiber_table[(a, b, c)] = sys2.l3(sys2.h_vec(a), sys2.h_vec(b), c,
-                                         fiber=2)
-    base = sys2.base_system()
-    return CrossedModule(base, nstr.N0, n1, fiber_table, sys2.h,
-                         sys2.slot_action(0), nstr.N1)
+    h = sys2.h
+    fiber_table = apply_in_slot(apply_in_slot(sys2.l3_001, h, 0), h, 1)
+    return CrossedModule(sys2.base_system(), nstr.N0, sys2.n1, fiber_table,
+                         h, sys2.slot_action(0), nstr.N1)
 
 
 def crossed_module_to_strict(xm):

@@ -108,10 +108,10 @@ def test_dictionary_tensors(cx_l2_adj):
     for i, j in itertools.product(range(2), repeat=2):
         for a in range(2):
             col = tuple(th[(i, j)][r][a] for r in range(2))
-            assert sys2.l3(a, i, j, fiber=0) == col
-            assert sys2.l3(i, a, j, fiber=1) == tuple(-x for x in col)
+            assert sys2.tables[0][(a, i, j)] == col
+            assert sys2.tables[1][(i, a, j)] == tuple(-x for x in col)
             D = cx.rep.D(i, j)
-            assert sys2.l3(i, j, a, fiber=2) == tuple(D[r][a] for r in range(2))
+            assert sys2.tables[2][(i, j, a)] == tuple(D[r][a] for r in range(2))
 
 
 def test_five_argument_condition_fails_for_bad_n2(cx_l2_adj):
