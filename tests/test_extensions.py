@@ -170,8 +170,8 @@ def test_induced_representation_matches_oracle(name):
             assert found == want
             assert report.ok == (not want)
             fired |= {item[0] for item in found}
-        assert induced_representation(ext)[1].ok
-        assert induced_representation(ext)[0].theta == rep.theta
+        back, report = induced_representation(ext)
+        assert report.ok and back.theta == rep.theta
     assert fired == set(INDUCED_KINDS)
 
 
