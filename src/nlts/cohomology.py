@@ -36,9 +36,18 @@ They combine into one square-zero differential on pairs,
 with g one bracket-degree below f (absent in degree 1).  Cohomology in
 degree 1 is ker d; in degrees 3 and 5 it is ker d modulo the image of
 the previous d.
+
+The matrix of d is read off one run of d on a pair of variables, and
+delta and partial run there only at the transversal tuples where
+``Complex.flatten`` reads coordinates (phi runs whole).  ``is_cocycle``
+runs d at every tuple, on den*f and den*g with den the lcm of their
+denominators, so the arithmetic is on integers; d is linear, so each
+witness value is the result divided by den.
 """
 
+from fractions import Fraction
 import itertools
+import math
 
 from .linalg import (
     kernel_basis,
@@ -119,6 +128,13 @@ def _basis_tensors(n, degree):
             for tail, lead in tails]
 
 
+def _transversal(n, degree):
+    """(prefix + lead, tail[lead]) per basis tensor of ``_basis_tensors``:
+    the tuple where ``Complex.flatten`` reads a coordinate, and its sign."""
+    return [(prefix + lead, tail[lead])
+            for prefix, tail, lead in _basis_tensors(n, degree)]
+
+
 def cochain_space_dim(dim, vdim, degree):
     """Dimension of the constrained cochain space of one degree."""
     return vdim * len(_basis_tensors(dim, degree))
@@ -194,18 +210,21 @@ def validate_cochain(f, dim, vdim, degree):
     return Report(not violations, violations)
 
 
-def yamaguti_coboundary(f, degree, n, m, theta, D, ins):
+def yamaguti_coboundary(f, degree, n, m, theta, D, ins, tuples=None):
     """Yamaguti's coboundary (see the module docstring) of an odd-degree f.
 
     ``f`` maps every tuple of base indices to a vector of length m,
     ``theta`` and ``D`` map basis pairs to m-by-m matrices, and
     ``ins(f, args, pos, (i, j, k))`` is f at args with the bracket
-    [e_i, e_j, e_k] in slot pos.
+    [e_i, e_j, e_k] in slot pos.  The value is computed at each of
+    ``tuples`` (every (degree+2)-tuple by default) and at no other.
     """
     if degree < 1 or degree % 2 == 0:
         raise ValueError("differentials act on odd degrees; got %d" % degree)
+    if tuples is None:
+        tuples = itertools.product(range(n), repeat=degree + 2)
     out = {}
-    for t in itertools.product(range(n), repeat=degree + 2):
+    for t in tuples:
         acc = [0] * m
         terms = [(1, theta[t[-2:]], f[t[:-2]]),
                  (-1, theta[(t[-3], t[-1])], f[t[:-3] + t[-2:-1]])]
@@ -262,20 +281,22 @@ class Complex:
 
     # -- the three operators ------------------------------------------------
 
-    def delta(self, f, degree):
-        """Yamaguti coboundary of the underlying structure (degree +2)."""
+    def delta(self, f, degree, tuples=None):
+        """Yamaguti coboundary of the underlying structure (degree +2), at
+        ``tuples`` only if given."""
         f = normalize_cochain(f, self.n, self.m, degree)
         ins = lambda g, args, pos, key: insert_in_slot(g, args, pos,
                                                        self._parts[key][1],
                                                        self.m)
         return yamaguti_coboundary(f, degree, self.n, self.m, self.theta,
-                                   self.D, ins)
+                                   self.D, ins, tuples)
 
-    def partial(self, f, degree):
-        """Deformed coboundary with alternating graded insertions (degree +2)."""
+    def partial(self, f, degree, tuples=None):
+        """Deformed coboundary with alternating graded insertions (degree +2),
+        at ``tuples`` only if given."""
         f = normalize_cochain(f, self.n, self.m, degree)
         return yamaguti_coboundary(f, degree, self.n, self.m, self.thetaN,
-                                   self.DN, self._tele)
+                                   self.DN, self._tele, tuples)
 
     def phi(self, f, degree):
         """Product over slots of (apply N in the slot) - (apply Nv after)."""
@@ -300,16 +321,17 @@ class Complex:
             df = self.delta(f, degree)
         return df, self.d_second(f, g, degree)
 
-    def d_second(self, f, g, degree):
+    def d_second(self, f, g, degree, tuples=None):
         """The second component of d(f, g), partial g + (-1)^k phi f; a
-        missing f or g is zero."""
+        missing f or g is zero.  Given ``tuples`` and a g, partial g and so
+        the sum are computed at those tuples only."""
         if f is None:
             second = zero_cochain(self.n, self.m, degree)
         else:
             second = cochain_scale((-1) ** ((degree + 1) // 2),
                                    self.phi(f, degree))
         if g is not None:
-            second = cochain_add(self.partial(g, degree - 2), second)
+            second = cochain_add(self.partial(g, degree - 2, tuples), second)
         return second
 
     # -- bases, flattening, matrices ---------------------------------------
@@ -323,9 +345,8 @@ class Complex:
 
     def flatten(self, f, degree):
         """Coordinates of a constrained cochain (transversal evaluation)."""
-        return [tail[lead] * x
-                for prefix, tail, lead in _basis_tensors(self.n, degree)
-                for x in f[prefix + lead]]
+        return [sign * x for t, sign in _transversal(self.n, degree)
+                for x in f[t]]
 
     def from_coefficients(self, coeffs, degree):
         """Linear combination of the cochain basis."""
@@ -351,12 +372,16 @@ class Complex:
         d runs on the pair whose coordinate k is the variable k (an
         ``operators._Poly``), so each entry of the flattened image is a
         linear form, and row r is the sparse ``{k: coefficient}`` of entry r.
+        The run evaluates delta and partial only at the transversal tuples
+        that ``flatten`` reads; phi runs whole.
         """
         if degree not in self._rows:
             x = [_Poly({(k,): 1}) for k in range(self._domain_dim(degree))]
+            f, g = self.pair_from_coefficients(x, degree)
+            at = lambda deg: [t for t, _ in _transversal(self.n, deg)]
             image = self.pair_flatten(
-                *self.d(*self.pair_from_coefficients(x, degree), degree),
-                degree + 2)
+                self.delta(f, degree, at(degree + 2)),
+                self.d_second(f, g, degree, at(degree)), degree + 2)
             self._rows[degree] = [{k: c for (k,), c in entry.items()}
                                   if entry else {} for entry in image]
         return self._rows[degree]
@@ -390,22 +415,43 @@ class Complex:
 
     # -- verdicts -----------------------------------------------------------
 
+    def _checked(self, f, g, degree):
+        """(violations, pair): validate_cochain's violations of the first
+        given component of (f, g) that fails it, or [] and the pair with
+        its given components normalized (a missing one stays None)."""
+        pair = []
+        for h, deg in ((f, degree), (g, degree - 2)):
+            if h is not None:
+                shape = validate_cochain(h, self.n, self.m, deg)
+                if not shape:
+                    return shape.violations, None
+                h = normalize_cochain(h, self.n, self.m, deg)
+            pair.append(h)
+        return [], pair
+
     def is_cocycle(self, f, g, degree):
-        """Whether d(f, g) vanishes; witnesses name the failing component."""
-        for h, deg in ((f, degree), (g, degree - 2) if degree > 1 else (None, 0)):
-            if h is None:
-                continue
-            shape = validate_cochain(h, self.n, self.m, deg)
-            if not shape:
-                return Report(False, shape.violations)
-        df, second = self.d(f, g if degree > 1 else None, degree)
-        violations = []
-        for t, v in sorted(df.items()):
-            if not viszero(v):
-                violations.append({"component": "bracket", "at": t, "value": v})
-        for t, v in sorted(second.items()):
-            if not viszero(v):
-                violations.append({"component": "operator", "at": t, "value": v})
+        """Whether d(f, g) vanishes; witnesses name the failing component.
+
+        d is linear, so it runs on den*f and den*g, which have integer
+        entries, den the lcm of the denominators of f and g; each witness
+        value is divided back by den.
+        """
+        violations, pair = self._checked(f, g if degree > 1 else None, degree)
+        if violations:
+            return Report(False, violations)
+        den = math.lcm(*(getattr(x, "denominator", 1)
+                         for h in pair if h for v in h.values() for x in v))
+        if den != 1:
+            pair = [h and {t: tuple(x.numerator * (den // x.denominator)
+                                    for x in v) for t, v in h.items()}
+                    for h in pair]
+        df, second = self.d(*pair, degree)
+        for name, h in (("bracket", df), ("operator", second)):
+            for t, v in sorted(h.items()):
+                if not viszero(v):
+                    if den != 1:
+                        v = tuple(Fraction(x, den) for x in v)
+                    violations.append({"component": name, "at": t, "value": v})
         return Report(not violations, violations)
 
     def is_coboundary(self, f, g, degree):
@@ -413,12 +459,17 @@ class Complex:
 
         Returns (found, pair) where pair is a domain preimage (gamma, None)
         or (psi, chi) when found, else (False, None).  An empty domain has
-        no pair to show, so there pair is None either way.
+        no pair to show, so there pair is None either way.  d lands in the
+        constrained cochains, so a target that fails validate_cochain is
+        not a coboundary; missing keys of a target are zero.
         """
         if degree not in (3, 5):
             raise ValueError("coboundaries arrive in degrees 3 and 5")
+        violations, pair = self._checked(f, g, degree)
+        if violations:
+            return False, None
         solution = solve_linear(self._d_matrix(degree - 2),
-                                self.pair_flatten(f, g, degree),
+                                self.pair_flatten(*pair, degree),
                                 self._domain_dim(degree - 2))
         if solution is None:
             return False, None

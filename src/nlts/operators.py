@@ -281,6 +281,9 @@ class _Poly(dict):
         return -1 * self + other
 
     def __mul__(self, other):
+        if not isinstance(other, _Poly):
+            return _Poly({m: c * other for m, c in self.items()} if other
+                         else ())
         out = _Poly()
         for m2, c2 in _terms(other):
             for m1, c1 in self.items():

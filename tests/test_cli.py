@@ -5,6 +5,7 @@ installed module entry point through a subprocess.
 """
 
 import contextlib
+from fractions import Fraction
 import io
 import json
 import os
@@ -17,7 +18,7 @@ import pytest
 
 from nlts import Complex, adjoint_rep, l2
 from nlts.cli import build_parser, run
-from nlts.cohomology import cochain_add
+from nlts.cohomology import cochain_add, cochain_scale
 from nlts import jsonio
 
 N01 = ((0, 1), (0, 1))
@@ -378,8 +379,15 @@ def call(argv):
 def golden_payloads(root):
     """Write the corpus and the derived payloads the golden commands read."""
     call(["corpus", str(root)])
+    spoiled = spoiled_pair()
     (root / "notclosed.json").write_text(jsonio.dumps(jsonio.pair_to_obj(
-        *spoiled_pair(), 3)))
+        *spoiled, 3)))
+    (root / "notclosed_frac.json").write_text(jsonio.dumps(jsonio.pair_to_obj(
+        *(cochain_scale(Fraction(-2, 3), h) for h in spoiled), 3)))
+    half = json.loads((root / "cocycle3_L2.json").read_text())
+    for entry in half["f"]["entries"] + half["g"]["entries"]:
+        entry["out"] = {a: str(Fraction(x) / 2) for a, x in entry["out"].items()}
+    (root / "cocycle3_half.json").write_text(json.dumps(half))
     (root / "zeropair.json").write_text(json.dumps(
         {"degree": 3, "f": {"degree": 3, "entries": []},
          "g": {"degree": 1, "entries": []}}))
@@ -391,6 +399,10 @@ def golden_payloads(root):
     (root / "other.json").write_text(call(
         ["extend", str(root / "abelian.json"), str(root / "zeroN.json"),
          str(root / "trivialrep.json"), str(root / "zeropair.json")])[1])
+    # psi plus a cochain that is not antisymmetric in its first two slots
+    odd = json.loads((root / "ext.json").read_text())
+    odd["psi"].append({"args": [0, 0, 0], "out": {"0": "1"}})
+    (root / "extodd.json").write_text(json.dumps(odd))
     (root / "garbled.json").write_text("{oops")
     (root / "wrongdim.json").write_text(json.dumps(
         {"dim": 3, "matrix": [["1", "0", "0"], ["0", "1", "0"],
@@ -442,8 +454,11 @@ def golden_commands():
         ["cocycle-check", L2, N01f, ADJ, C("cocycle1_L2.json")],
         ["cocycle-check", L2, N01f, ADJ, C("cocycle3_L2.json")],
         ["cocycle-check", L2, N01f, ADJ, C("notclosed.json")],
+        ["cocycle-check", L2, N01f, ADJ, C("cocycle3_half.json")],
+        ["cocycle-check", L2, N01f, ADJ, C("notclosed_frac.json")],
         ["equivalent", C("ext.json"), C("ext.json")],
         ["equivalent", C("ext.json"), C("ext0.json")],
+        ["equivalent", C("ext.json"), C("extodd.json")],
         ["check-2sys", C("skel2sys.json")], ["check-2sys", C("strict2sys.json")],
         ["check-n2sys", C("skel2sys.json")],
         ["check-n2sys", C("strict2sys.json")],

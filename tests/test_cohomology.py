@@ -12,17 +12,24 @@ from sympy.polys.matrices.sdm import SDM
 
 import reference as ref
 from nlts import (
+    AbelianExtension,
     Complex,
+    LieTripleSystem,
     adjoint_rep,
     direct_sum,
+    extensions_equivalent,
     ident,
     l2,
     cochain_space_dim,
+    lts_from_lie_algebra,
     normalize_cochain,
+    sl2_lie,
+    trivial_rep,
     validate_cochain,
     zero_cochain,
 )
 from nlts.cohomology import cochain_add, cochain_iszero, cochain_scale, cochain_sub
+from nlts.operators import _Poly
 
 
 def lib_rand(cx, rng, deg, lo=-4, hi=4):
@@ -285,6 +292,124 @@ def free_zero_solution(cx, M, b, deg):
         return False, None
     x = as_fractions(sol.subs({p: 0 for p in params}))
     return True, cx.pair_from_coefficients(x, deg)
+
+
+@pytest.fixture(scope="module")
+def cx_l2_adj_seeded():
+    """l2 adjoint in a seeded Fraction basis."""
+    return seeded_complex(l2(), "adjoint", ((0, 1), (0, 1)), None, 5)
+
+
+@pytest.fixture(scope="module")
+def cx_sl2_triv_seeded():
+    """sl2 with a one-dimensional trivial fiber in a seeded Fraction basis."""
+    return seeded_complex(lts_from_lie_algebra(sl2_lie()), "trivial",
+                          ((1, 1, 0), (0, 1, 0), (0, 0, 2)), ((2,),), 7)
+
+
+def seeded_complex(system, kind, N, Nv, seed):
+    n = system.dim
+    P, Pinv = ref.rand_change_of_basis(random.Random(seed), n)
+    br = {t: system.coeff(*t) for t in itertools.product(range(n), repeat=3)}
+    moved = LieTripleSystem(n, ref.transport_bracket(n, br, P, Pinv))
+    N = ref.matmul(ref.matmul(Pinv, N), P)
+    if kind == "adjoint":
+        return Complex(moved, adjoint_rep(moved), N, N)
+    return Complex(moved, trivial_rep(moved, 1), N, Nv)
+
+
+def full_pass_rows(cx, deg):
+    """The d-matrix read off one run of d at every tuple: d on the pair of
+    variables, flattened, one sparse {column: coefficient} row per entry."""
+    x = [_Poly({(k,): 1}) for k in range(cx._domain_dim(deg))]
+    image = cx.pair_flatten(*cx.d(*cx.pair_from_coefficients(x, deg), deg),
+                            deg + 2)
+    return [{k: c for (k,), c in entry.items()} if entry else {}
+            for entry in image]
+
+
+def typed(rows):
+    return [sorted((k, type(c).__name__, c) for k, c in row.items())
+            for row in rows]
+
+
+@pytest.mark.parametrize("ctxname", ["cx_l2_adj", "cx_l2_adj_half",
+                                     "cx_l2_triv", "cx_solv3_adj",
+                                     "cx_l2_adj_seeded", "cx_sl2_triv_seeded"])
+def test_d_matrix_equals_full_pass(ctxname, request):
+    cx = request.getfixturevalue(ctxname)
+    for deg in ((1, 3) if cx.n > 2 else (1, 3, 5)):
+        want = full_pass_rows(cx, deg)
+        assert typed(cx._d_matrix(deg)) == typed(want), deg
+
+
+def reference_witnesses(ctx, f, g, deg):
+    """is_cocycle's witnesses read off the reference d: every nonzero value,
+    bracket component first, each in sorted tuple order."""
+    df, second = ctx.d(f, g, deg)
+    return [(name, t, v) for name, h in (("bracket", df), ("operator", second))
+            for t, v in sorted(h.items()) if any(v)]
+
+
+@pytest.mark.parametrize("ctxname", ["cx_l2_adj", "cx_l2_adj_half"])
+def test_is_cocycle_witnesses_on_fraction_cochains(ctxname, request):
+    cx = request.getfixturevalue(ctxname)
+    ctx = as_ctx(cx)
+    rng = random.Random(101)
+    fracs = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), 3)
+
+    def frac_rand(deg):
+        return cochain_scale(rng.choice(fracs), cochain_add(
+            lib_rand(cx, rng, deg), cochain_scale(rng.choice(fracs),
+                                                  lib_rand(cx, rng, deg))))
+    checked = 0
+    for deg in (1, 3, 5):
+        pairs = [(frac_rand(deg), frac_rand(deg - 2) if deg > 1 else None)
+                 for _ in range(3)]
+        pairs += [tuple(cochain_scale(Fraction(3, 4), h) if h else h
+                        for h in pair) for pair in cx.kernel_pairs(deg)[:2]]
+        for f, g in pairs:
+            report = cx.is_cocycle(f, g, deg)
+            got = [(w["component"], w["at"], w["value"])
+                   for w in report.violations]
+            assert got == reference_witnesses(ctx, f, g, deg)
+            assert report.ok == (not got)
+            checked += bool(got)
+    assert checked >= 6
+
+
+def test_is_coboundary_refuses_unconstrained_targets(cx_l2_adj):
+    cx = cx_l2_adj
+    g = zero_cochain(cx.n, cx.m, 1)
+    bad = zero_cochain(cx.n, cx.m, 3)
+    bad[(0, 0, 0)] = (1, 0)  # d(0) = 0, and this is not 0
+    for f in (bad, {(0, 0, 0): (1, 0)}):
+        assert cx.is_coboundary(f, g, 3) == (False, None)
+        assert cx.is_coboundary(f, None, 3) == (False, None)
+    assert cx.is_coboundary({(0, 1, 0): (1,)}, g, 3) == (False, None)
+    # a sparse coboundary gets the preimage of its dense form
+    gamma = {(0,): (1, 2), (1,): (0, -1)}
+    df, dg = cx.d(gamma, None, 1)
+    sparse = ({t: v for t, v in df.items() if any(v)},
+              {t: v for t, v in dg.items() if any(v)})
+    found, pair = cx.is_coboundary(*sparse, 3)
+    assert found and (found, pair) == cx.is_coboundary(df, dg, 3)
+    assert cx.pair_flatten(*cx.d(pair[0], None, 1), 3) \
+        == cx.pair_flatten(df, dg, 3)
+
+
+def test_extensions_differing_by_unconstrained_psi_are_not_equivalent(
+        cx_l2_adj):
+    cx = cx_l2_adj
+    f, _ = cx.kernel_pairs(3)[0]
+    chi = ((0, 0), (0, 0))
+    odd = dict(f)
+    odd[(0, 0, 0)] = (1, 0)
+    ext1, ext2 = (AbelianExtension(cx.system, cx.rep, cx.N, cx.Nv, psi, chi)
+                  for psi in (f, odd))
+    report = extensions_equivalent(ext1, ext2)
+    assert report.data == {"equivalent": False, "gamma": None}
+    assert extensions_equivalent(ext1, ext1).data["equivalent"] is True
 
 
 # ---------------------------------------------------------------------------
