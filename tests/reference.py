@@ -176,6 +176,67 @@ def five_term_defect(n, br):
     return out
 
 
+def symmetry_witnesses(f, n, m, arity):
+    """(kind, key, value) of each nonzero symmetry sum of an arity-tensor
+    whose missing keys are zero: at each key (..., i, j, k), in basis
+    order, "antisymmetry" f(.., i, j, k) + f(.., j, i, k) and then "cyclic"
+    f(.., i, j, k) + f(.., j, k, i) + f(.., k, i, j)."""
+    def at(key):
+        return tuple(f[key]) if key in f else vzero(m)
+
+    out = []
+    for key in itertools.product(range(n), repeat=arity):
+        head, (i, j, k) = key[:-3], key[-3:]
+        w = vadd(at(key), at(head + (j, i, k)))
+        if not viszero(w):
+            out.append(("antisymmetry", key, w))
+        w = vadd(vadd(at(key), at(head + (j, k, i))), at(head + (k, i, j)))
+        if not viszero(w):
+            out.append(("cyclic", key, w))
+    return out
+
+
+def rand_tensor(rng, n, m, arity, entries, dense):
+    """A random arity-tensor with values of length m, its entries drawn
+    from ``entries`` and zeros.  Dense: every key is present (some with a
+    zero vector); sparse: about a third of the keys are."""
+    out = {}
+    for key in itertools.product(range(n), repeat=arity):
+        if dense or rng.random() < 0.35:
+            out[key] = tuple(rng.choice(entries + (0, 0, 0))
+                             for _ in range(m))
+    return out
+
+
+def lie_witnesses(n, lie):
+    """(axiom, at, value) of a binary bracket lie[(i,j)] -> vector (missing
+    keys zero): antisymmetry lie(i,j) + lie(j,i) at every pair, then the
+    Jacobi sum [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] at every
+    i < j < k, each where nonzero."""
+    def at(i, j):
+        return tuple(lie[(i, j)]) if (i, j) in lie else vzero(n)
+
+    def br(x, y):
+        acc = vzero(n)
+        for i, j in itertools.product(range(n), repeat=2):
+            if x[i] * y[j]:
+                acc = vadd(acc, vscale(x[i] * y[j], at(i, j)))
+        return acc
+
+    out = []
+    for i, j in itertools.product(range(n), repeat=2):
+        w = vadd(at(i, j), at(j, i))
+        if not viszero(w):
+            out.append(("antisymmetry", (i, j), w))
+    e = [basis(n, i) for i in range(n)]
+    for i, j, k in itertools.combinations(range(n), 3):
+        w = vadd(vadd(br(e[i], at(j, k)), br(e[j], at(k, i))),
+                 br(e[k], at(i, j)))
+        if not viszero(w):
+            out.append(("jacobi", (i, j, k), w))
+    return out
+
+
 def check_lts_axioms(n, br):
     for i, j, k in itertools.product(range(n), repeat=3):
         if not viszero(vadd(br[(i, j, k)], br[(j, i, k)])):
@@ -1026,6 +1087,10 @@ WITNESS_BASES = {
 }
 
 ENTRIES = (-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2))
+INT_ENTRIES = (-2, -1, 1, 2)
+
+# the entry sets of the seeded witness comparisons, by name
+ENTRY_SETS = {"int": INT_ENTRIES, "frac": ENTRIES}
 
 
 def rand_matrix(rng, rows, cols, values=(-1, 0, 0, 1, Fraction(1, 2))):

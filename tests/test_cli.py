@@ -417,6 +417,21 @@ def golden_payloads(root):
     badxmod = json.loads((root / "xmodL2.json").read_text())
     badxmod["h"][1][0] = "1"
     (root / "badxmod.json").write_text(json.dumps(badxmod))
+    # inputs that break antisymmetry and the cyclic sum: a bracket, a
+    # degree-3 cochain, the base bracket of a 2-system and its N2
+    (root / "asym.json").write_text(json.dumps(
+        {"dim": 2, "bracket": [{"i": 0, "j": 1, "k": 1, "out": {"0": "1"}},
+                               {"i": 0, "j": 0, "k": 0, "out": {"1": "1/2"}}]}))
+    (root / "unconstrained.json").write_text(json.dumps(
+        {"degree": 3, "f": {"degree": 3, "entries": [
+            {"args": [0, 0, 1], "out": {"0": "1", "1": "-1/2"}}]},
+         "g": {"degree": 1, "entries": []}}))
+    l3asym = json.loads((root / "strict2sys.json").read_text())
+    l3asym["l3_000"].append({"args": [0, 0, 1], "out": {"1": "2"}})
+    (root / "l3asym2sys.json").write_text(json.dumps(l3asym))
+    n2cyclic = json.loads((root / "skel2sys.json").read_text())
+    n2cyclic["N2"].append({"args": [0, 0, 1], "out": {"0": "1/3"}})
+    (root / "n2cyclic.json").write_text(json.dumps(n2cyclic))
     for i, case in enumerate(sorted(HOSTILE)):
         payload = HOSTILE[case][1]
         if payload is not None:
@@ -464,6 +479,10 @@ def golden_commands():
         ["check-n2sys", C("strict2sys.json")],
         ["check-xmod", C("xmodL2.json")], ["check-xmod", C("xmod0.json")],
         ["check-xmod", C("badxmod.json")],
+        ["check-lts", C("asym.json")],
+        ["cocycle-check", L2, N01f, ADJ, C("unconstrained.json")],
+        ["check-2sys", C("l3asym2sys.json")],
+        ["check-n2sys", C("n2cyclic.json")],
     ]
     cohomology = [["cohomology", *ctx, "--degree", str(degree)]
                   for ctx in ((L2, N01f, ADJ), (S3, S3N, S3ADJ))

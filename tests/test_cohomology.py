@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -28,7 +30,8 @@ from nlts import (
     validate_cochain,
     zero_cochain,
 )
-from nlts.cohomology import cochain_add, cochain_iszero, cochain_scale, cochain_sub
+from nlts.cohomology import (_w3_data, cochain_add, cochain_iszero,
+                             cochain_scale, cochain_sub)
 from nlts.operators import _Poly
 
 
@@ -101,6 +104,43 @@ def test_validate_rejects_bad_symmetry():
     assert not report2.ok
     kinds2 = {item["constraint"] for item in report2.violations}
     assert "cyclic" in kinds2 and "antisymmetry" not in kinds2
+
+
+@pytest.mark.parametrize("degree, n", [(3, 1), (3, 2), (3, 3), (3, 4),
+                                       (5, 1), (5, 2), (5, 3)])
+@pytest.mark.parametrize("entries", sorted(ref.ENTRY_SETS))
+@pytest.mark.parametrize("dense", [False, True])
+def test_validate_cochain_witnesses_match_oracle(degree, n, entries, dense):
+    # antisymmetry and cyclic witnesses interleaved, key by key
+    rng = random.Random("cochain-%d-%d-%s-%d" % (degree, n, entries, dense))
+    for m in (1, 2):
+        f = ref.rand_tensor(rng, n, m, degree, ref.ENTRY_SETS[entries], dense)
+        report = validate_cochain(f, n, m, degree)
+        got = [(v["constraint"], v["at"], v["value"])
+               for v in report.violations]
+        assert got == ref.symmetry_witnesses(f, n, m, degree)
+        assert report.ok == (not got)
+
+
+W3_PIN = pathlib.Path(__file__).parent / "data" / "w3_pin.json"
+
+
+def w3_records():
+    """_w3_data(n) for n = 1..5 as JSON: per n, each basis dict as sorted
+    [key, coefficient] pairs, and the free tuples."""
+    return {str(n): {"basis": [sorted([list(t), c] for t, c in b.items())
+                               for b in basis],
+                     "free": [list(t) for t in free]}
+            for n, (basis, free) in ((n, _w3_data(n)) for n in range(1, 6))}
+
+
+def test_w3_data_matches_pin():
+    # pinned from the hand-written constraint rows; regenerate with
+    # `PYTHONPATH=src python tests/test_cohomology.py` only when the
+    # constrained basis is meant to change
+    assert w3_records() == json.loads(W3_PIN.read_text())
+    for n in range(1, 6):
+        assert len(_w3_data(n)[0]) == ref.w_dim(n)
 
 
 def test_normalize_cochain_round_trip():
@@ -543,3 +583,10 @@ def test_degree_seven_is_refused_where_matrices_are_built(cx_l2_adj):
             (lambda: cx.delta(zero_cochain(cx.n, cx.m, 2), 2), "odd degrees")):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+if __name__ == "__main__":
+    W3_PIN.parent.mkdir(exist_ok=True)
+    W3_PIN.write_text("{\n" + ",\n".join(
+        "%s: %s" % (json.dumps(n), json.dumps(rec, separators=(",", ":")))
+        for n, rec in w3_records().items()) + "\n}\n")

@@ -1,5 +1,6 @@
 """Triple-system axioms, stock systems, and representation identities."""
 
+from fractions import Fraction
 import itertools
 import random
 
@@ -111,6 +112,67 @@ def test_lie_algebra_checks():
     from nlts.lts import LieAlgebra
     bad = LieAlgebra(2, {(0, 0): (0, 1)})
     assert not check_lie_algebra(bad).ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("entries", sorted(ref.ENTRY_SETS))
+@pytest.mark.parametrize("dense", [False, True])
+def test_lts_symmetry_witnesses_match_oracle(n, entries, dense):
+    # check_lts lists every antisymmetry witness, then every cyclic one,
+    # then the five-term ones
+    rng = random.Random("lts-%d-%s-%d" % (n, entries, dense))
+    for _ in range(4):
+        table = ref.rand_tensor(rng, n, n, 3, ref.ENTRY_SETS[entries], dense)
+        want = ref.symmetry_witnesses(table, n, n, 3)
+        want = ([w for w in want if w[0] == "antisymmetry"]
+                + [w for w in want if w[0] == "cyclic"])
+        got = [(v["axiom"], v["at"], v.get("value"))
+               for v in check_lts(LieTripleSystem(n, table)).violations]
+        assert got[:len(want)] == want
+        assert {v[0] for v in got[len(want):]} <= {"five-term"}
+
+
+def _scaled_lie(lie, scale):
+    """The structure constants in the basis e_i' = scale[i] e_i."""
+    from nlts.lts import LieAlgebra
+    n = lie.dim
+    return LieAlgebra(n, {(i, j): tuple(Fraction(scale[i] * scale[j]) * w[t]
+                                        / scale[t] for t in range(n))
+                          for (i, j), w in lie.table.items()})
+
+
+@pytest.mark.parametrize("entries", sorted(ref.ENTRY_SETS))
+def test_lie_algebra_witnesses_match_oracle(entries):
+    # random binary brackets, antisymmetric or not, against the oracle's
+    # witness list; values compare equal (a zero entry may be Fraction(0))
+    from nlts.lts import LieAlgebra
+    rng = random.Random("lie-" + entries)
+    fired = set()
+    for n in (1, 2, 3, 4):
+        for antisymmetric in (False, True):
+            for _ in range(3):
+                table = ref.rand_tensor(rng, n, n, 2, ref.ENTRY_SETS[entries],
+                                        False)
+                if antisymmetric:
+                    table = {(i, j): w for (i, j), w in table.items() if i < j}
+                    table.update({(j, i): tuple(-x for x in w)
+                                  for (i, j), w in list(table.items())})
+                got = [(v["axiom"], v["at"], v["value"])
+                       for v in check_lie_algebra(LieAlgebra(n, table)).violations]
+                assert got == ref.lie_witnesses(n, table)
+                fired |= {v[0] for v in got}
+    assert fired == {"antisymmetry", "jacobi"}
+
+
+def test_triple_system_of_scaled_lie_algebras_matches_reference():
+    for lie in (sl2_lie(), solv3_lie()):
+        scaled = _scaled_lie(lie, (Fraction(1, 2), 3, Fraction(-2, 3)))
+        assert check_lie_algebra(scaled).ok
+        n, br = ref.lie_to_lts(3, {k: scaled.coeff(*k) for k in
+                                   itertools.product(range(3), repeat=2)})
+        system = lts_from_lie_algebra(scaled)
+        assert {t: system.coeff(*t) for t in br} == br
+        assert check_lts(system).ok
 
 
 def test_lts_from_invalid_lie_algebra_raises():

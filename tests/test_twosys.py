@@ -308,6 +308,32 @@ def test_structure_witnesses_match_graded_bracket_oracle(name, cx_l2_adj,
     assert fired == STRUCTURE_CONDITIONS
 
 
+@pytest.mark.parametrize("entries", sorted(ref.ENTRY_SETS))
+@pytest.mark.parametrize("dense", [False, True])
+def test_symmetry_witnesses_of_l3_000_and_N2_match_oracle(entries, dense):
+    # L1 and L4 on the base bracket list the antisymmetry and the cyclic
+    # witnesses in two blocks; N2's (b) and (c) interleave them key by key
+    rng = random.Random("2sys-%s-%d" % (entries, dense))
+    values = ref.ENTRY_SETS[entries]
+    for n0, n1 in ((1, 1), (2, 1), (2, 2), (3, 1)):
+        l3_000 = ref.rand_tensor(rng, n0, n0, 3, values, dense)
+        N2 = ref.rand_tensor(rng, n0, n1, 3, values, dense)
+        sys2 = LieTriple2System(n0, n1, zeros(n0, n1), l3_000)
+        nstr = Nijenhuis2Structure(n0, n1, zeros(n0), zeros(n1), N2)
+        want = ref.symmetry_witnesses(l3_000, n0, n0, 3)
+        violations = check_2system(sys2).violations
+        for cond, kind in (("L1-base-antisymmetry", "antisymmetry"),
+                           ("L4-base-cyclic", "cyclic")):
+            got = [(item["at"], item["lhs"]) for item in violations
+                   if item["condition"] == cond]
+            assert got == [(at, w) for k, at, w in want if k == kind]
+        got = [(item["condition"], item["at"], item["lhs"])
+               for item in check_nijenhuis_2system(sys2, nstr).violations
+               if item["condition"].startswith("N2-")]
+        assert got == [("N2-" + k, at, w)
+                       for k, at, w in ref.symmetry_witnesses(N2, n0, n1, 3)]
+
+
 def test_identity_crossed_module():
     system = l2()
     xm = CrossedModule(system, N01, 2, system.table, ident(2),
