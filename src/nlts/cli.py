@@ -44,12 +44,9 @@ def jsonable(x):
     return x
 
 
-def _print_report(report, args, extra=None):
-    payload = report.to_dict()
-    if extra:
-        payload.update(extra)
+def _print_report(report, args):
     if args.json:
-        sys.stdout.write(dumps(jsonable(payload)))
+        sys.stdout.write(dumps(jsonable(report.to_dict())))
     else:
         if report.ok:
             print("ok")
@@ -75,12 +72,10 @@ def _print_report(report, args, extra=None):
                 print("(%d violations total)" % len(report.violations))
         for note in report.warnings:
             print("warning: %s" % note, file=sys.stderr)
-        for key, value in sorted((extra or {}).items()):
-            print("%s: %s" % (key, jsonable(value)))
     return 0 if report.ok else 1
 
 
-def _emit_obj(obj, args):
+def _emit_obj(obj):
     sys.stdout.write(dumps(obj))
 
 
@@ -195,7 +190,7 @@ def cmd_induce_rep(args):
     N, _ = _load_operator(args.operator, system.dim)
     rep, Nv = _load_rep(args.representation, system)
     induced = induce_rep(rep, N, Nv)
-    _emit_obj(jsonio.rep_to_obj(induced, Nv), args)
+    _emit_obj(jsonio.rep_to_obj(induced, Nv))
     return 0
 
 
@@ -263,7 +258,7 @@ def cmd_extract(args):
     payload = {"degree": 3,
                "f": jsonio.cochain_to_obj(psi, 3),
                "g": jsonio.cochain_to_obj(chi_to_cochain(chi, ext.n, ext.m), 1)}
-    _emit_obj(payload, args)
+    _emit_obj(payload)
     return 0
 
 
@@ -325,7 +320,7 @@ def cmd_skeletal_to_cocycle(args):
         cx, f, g = skeletal_to_cocycle(sys2, nstr)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _emit_obj(jsonio.bundle_to_obj(cx, f, g), args)
+    _emit_obj(jsonio.bundle_to_obj(cx, f, g))
     return 0
 
 
@@ -333,7 +328,7 @@ def cmd_cocycle_to_skeletal(args):
     from .twosys import cocycle_to_skeletal
     cx, f, g = jsonio.bundle_from_obj(load_json(args.file), args.file)
     sys2, nstr = cocycle_to_skeletal(cx, f, g)
-    _emit_obj(jsonio.twosys_to_obj(sys2, nstr), args)
+    _emit_obj(jsonio.twosys_to_obj(sys2, nstr))
     return 0
 
 
@@ -350,7 +345,7 @@ def cmd_to_xmod(args):
         xm = strict_to_crossed_module(sys2, nstr)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _emit_obj(jsonio.xmod_to_obj(xm), args)
+    _emit_obj(jsonio.xmod_to_obj(xm))
     return 0
 
 
@@ -358,7 +353,7 @@ def cmd_from_xmod(args):
     from .twosys import crossed_module_to_strict
     xm = jsonio.xmod_from_obj(load_json(args.file), args.file)
     sys2, nstr = crossed_module_to_strict(xm)
-    _emit_obj(jsonio.twosys_to_obj(sys2, nstr), args)
+    _emit_obj(jsonio.twosys_to_obj(sys2, nstr))
     return 0
 
 

@@ -50,6 +50,7 @@ import itertools
 import math
 
 from .linalg import (
+    as_matrix,
     kernel_basis,
     matsub,
     matvec,
@@ -61,9 +62,9 @@ from .linalg import (
     vsub,
     vzero,
 )
-from .lts import Report, apply_in_slot, insert_in_slot
-from .nrep import _check_fiber_operator, deformed_theta
-from .operators import _Poly, _check_operator, telescoped_brackets
+from .lts import Report, apply_in_slot, insert_in_slot, symmetry_defects
+from .nrep import deformed_theta
+from .operators import _Poly, telescoped_brackets
 
 _W3_CACHE = {}
 
@@ -75,23 +76,16 @@ def _w3_data(n):
     (i,j,k) -> int spanning the tensors antisymmetric in slots 1,2 with
     zero cyclic sum, and free lists one transversal tuple per basis
     element: the first tuple where that element is +1 or -1 and every
-    other element is 0.
+    other element is 0.  The constraints are the symmetry sums of the
+    tensor whose entry at tuple c is the variable c (an ``operators._Poly``).
     """
     if n in _W3_CACHE:
         return _W3_CACHE[n]
     tuples = list(itertools.product(range(n), repeat=3))
     index = {t: c for c, t in enumerate(tuples)}
-    rows = []
-    for i, j, k in tuples:
-        row = [0] * len(tuples)
-        row[index[(i, j, k)]] += 1
-        row[index[(j, i, k)]] += 1
-        rows.append(row)
-        row = [0] * len(tuples)
-        row[index[(i, j, k)]] += 1
-        row[index[(j, k, i)]] += 1
-        row[index[(k, i, j)]] += 1
-        rows.append(row)
+    x = {t: (_Poly({(c,): 1}),) for t, c in index.items()}
+    rows = [{c: a for (c,), a in w[0].items()}
+            for _, _, w in symmetry_defects(x, n, 3, 1)]
     vectors = kernel_basis(rows, len(tuples))
     basis = []
     free = []
@@ -147,7 +141,8 @@ def zero_cochain(dim, vdim, degree):
 
 def dense_tensor(table, shape, outdim, what="value"):
     """Complete dict form over every key of ``shape``, with frozen tuple
-    values of length outdim; missing keys (or a missing table) are zero."""
+    values of length outdim; missing keys (or a missing table) are zero.
+    A key outside the shape raises ValueError."""
     out = {}
     for key in itertools.product(*(range(s) for s in shape)):
         v = table.get(key) if table else None
@@ -159,6 +154,10 @@ def dense_tensor(table, shape, outdim, what="value"):
                 raise ValueError("%s at %r has length %d, expected %d"
                                  % (what, key, len(v), outdim))
             out[key] = v
+    for key in table or ():
+        if key not in out:
+            raise ValueError("%s at %r is outside the shape %r"
+                             % (what, key, shape))
     return out
 
 
@@ -184,8 +183,8 @@ def cochain_scale(c, f):
 
 
 def validate_cochain(f, dim, vdim, degree):
-    """Shape plus the slot constraints of the given degree."""
-    violations = []
+    """Shape plus the slot constraints of the given degree, the
+    ``symmetry_defects`` of f."""
     try:
         f = normalize_cochain(f, dim, vdim, degree)
     except ValueError as exc:
@@ -195,18 +194,8 @@ def validate_cochain(f, dim, vdim, degree):
     if degree % 2 == 0 or degree < 3:
         return Report(False, [{"constraint": "degree",
                                "detail": "expected an odd degree >= 1"}])
-    p = degree - 3
-    for prefix in itertools.product(range(dim), repeat=p):
-        for i, j, k in itertools.product(range(dim), repeat=3):
-            v = vadd(f[prefix + (i, j, k)], f[prefix + (j, i, k)])
-            if not viszero(v):
-                violations.append({"constraint": "antisymmetry",
-                                   "at": prefix + (i, j, k), "value": v})
-            v = vadd(vadd(f[prefix + (i, j, k)], f[prefix + (j, k, i)]),
-                     f[prefix + (k, i, j)])
-            if not viszero(v):
-                violations.append({"constraint": "cyclic",
-                                   "at": prefix + (i, j, k), "value": v})
+    violations = [{"constraint": kind, "at": at, "value": v}
+                  for kind, at, v in symmetry_defects(f, dim, degree, vdim)]
     return Report(not violations, violations)
 
 
@@ -257,8 +246,8 @@ class Complex:
         self.rep = rep
         self.n = system.dim
         self.m = rep.vdim
-        self.N = _check_operator(system, N)
-        self.Nv = _check_fiber_operator(rep, Nv)
+        self.N = as_matrix(N, self.n, self.n, "operator")
+        self.Nv = as_matrix(Nv, self.m, self.m, "fiber operator")
         n = self.n
         self.theta = rep.theta
         self.D = {(i, j): rep.D(i, j)
@@ -344,9 +333,11 @@ class Complex:
                 for j in range(dim)]
 
     def flatten(self, f, degree):
-        """Coordinates of a constrained cochain (transversal evaluation)."""
+        """Coordinates of a constrained cochain (transversal evaluation);
+        missing keys, or a missing f, are zero."""
+        f, zero = f or {}, vzero(self.m)
         return [sign * x for t, sign in _transversal(self.n, degree)
-                for x in f[t]]
+                for x in f.get(t, zero)]
 
     def from_coefficients(self, coeffs, degree):
         """Linear combination of the cochain basis."""
@@ -394,9 +385,7 @@ class Complex:
     def pair_flatten(self, f, g, degree):
         if degree == 1:
             return self.flatten(f, 1)
-        fc = f if f is not None else zero_cochain(self.n, self.m, degree)
-        gc = g if g is not None else zero_cochain(self.n, self.m, degree - 2)
-        return self.flatten(fc, degree) + self.flatten(gc, degree - 2)
+        return self.flatten(f, degree) + self.flatten(g, degree - 2)
 
     def pair_from_coefficients(self, coeffs, degree):
         """Split a domain coefficient vector into the (f, g) pair."""

@@ -21,7 +21,7 @@ gamma yields the isomorphism (x, u) -> (x, u + gamma(x)).
 
 import itertools
 
-from .linalg import matmul, vzero
+from .linalg import as_matrix, matmul, vzero
 from .lts import (LieTripleSystem, Report, Representation, check_lts,
                   slot_matrices)
 from .cohomology import Complex, cochain_sub, normalize_cochain
@@ -42,19 +42,18 @@ def _one_fiber_keys(n, m):
 class AbelianExtension:
     """Total system and lifted operator in split coordinates."""
 
-    def __init__(self, base, rep, N, Nv, psi, chi, total=None, Nhat=None):
+    def __init__(self, base, rep, N, Nv, psi, chi, total=None):
         self.base = base
         self.rep = rep
-        self.N = tuple(tuple(row) for row in N)
-        self.Nv = tuple(tuple(row) for row in Nv)
-        self.n = base.dim
-        self.m = rep.vdim
-        self.psi = normalize_cochain(psi, self.n, self.m, 3)
-        if len(chi) != self.m or any(len(row) != self.n for row in chi):
-            raise ValueError("chi must be a %d-by-%d matrix" % (self.m, self.n))
-        self.chi = tuple(tuple(row) for row in chi)
+        n, m = base.dim, rep.vdim
+        self.n, self.m = n, m
+        self.N = as_matrix(N, n, n, "N")
+        self.Nv = as_matrix(Nv, m, m, "Nv")
+        self.psi = normalize_cochain(psi, n, m, 3)
+        self.chi = as_matrix(chi, m, n, "chi")
         self.total = total if total is not None else self._build_total()
-        self.Nhat = Nhat if Nhat is not None else self._build_nhat()
+        self.Nhat = (tuple(row + vzero(m) for row in self.N)
+                     + tuple(c + v for c, v in zip(self.chi, self.Nv)))
 
     def _build_total(self):
         n, m = self.n, self.m
@@ -66,15 +65,6 @@ class AbelianExtension:
         for at, slot, key in _one_fiber_keys(n, m):
             table[at] = pad + slots[slot][key]
         return LieTripleSystem(n + m, table)
-
-    def _build_nhat(self):
-        n, m = self.n, self.m
-        rows = []
-        for r in range(n):
-            rows.append(self.N[r] + vzero(m))
-        for a in range(m):
-            rows.append(self.chi[a] + self.Nv[a])
-        return tuple(rows)
 
     def complex(self):
         return Complex(self.base, self.rep, self.N, self.Nv)

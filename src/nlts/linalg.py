@@ -98,6 +98,14 @@ def ident(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def as_matrix(M, rows, cols, name):
+    """M as a tuple of row tuples; ValueError unless it is rows-by-cols."""
+    M = tuple(tuple(row) for row in M)
+    if len(M) != rows or any(len(row) != cols for row in M):
+        raise ValueError("%s must be a %d-by-%d matrix" % (name, rows, cols))
+    return M
+
+
 def matvec(M, v):
     support = _support(v)
     return tuple(_sparse_dot(row, support) for row in M)

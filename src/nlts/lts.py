@@ -24,7 +24,8 @@ every other identity of the action is a contraction of its slot tables.
 import itertools
 from operator import itemgetter
 
-from .linalg import mat_iszero, matsub, matvec, vadd, viszero, vzero, zeros
+from .linalg import (as_matrix, mat_iszero, matsub, matvec, vadd, viszero,
+                     vzero, zeros)
 
 
 class Report:
@@ -131,26 +132,6 @@ class LieAlgebra:
     def coeff(self, i, j):
         return self.table.get((i, j), vzero(self.dim))
 
-    def bracket(self, x, y):
-        n = self.dim
-        out = [0] * n
-        for i in range(n):
-            a = x[i]
-            if not a:
-                continue
-            for j in range(n):
-                b = y[j]
-                if not b:
-                    continue
-                w = self.table.get((i, j))
-                if w is None:
-                    continue
-                s = a * b
-                for t in range(n):
-                    if w[t]:
-                        out[t] += s * w[t]
-        return tuple(out)
-
 
 class Representation:
     """A family of m-by-m matrices theta(e_i, e_j) acting on a space V."""
@@ -163,10 +144,8 @@ class Representation:
         for i in range(n):
             for j in range(n):
                 M = theta.get((i, j)) if isinstance(theta, dict) else theta[i][j]
-                M = tuple(tuple(row) for row in (M if M is not None else zeros(vdim)))
-                if len(M) != vdim or any(len(r) != vdim for r in M):
-                    raise ValueError("theta(%d,%d) is not %d-by-%d" % (i, j, vdim, vdim))
-                self.theta[(i, j)] = M
+                self.theta[(i, j)] = as_matrix(zeros(vdim) if M is None else M,
+                                               vdim, vdim, "theta(%d,%d)" % (i, j))
 
     def D(self, i, j):
         """D(e_i, e_j) = theta(e_j, e_i) - theta(e_i, e_j)."""
@@ -336,34 +315,49 @@ def add_tables(*tables):
 # ---------------------------------------------------------------------------
 # axiom checks
 
+def symmetry_defects(f, n, arity, m):
+    """The nonzero symmetry sums of a tensor, as (kind, key, value).
+
+    ``f`` maps arity-tuples of indices below n to vectors of length m
+    (missing keys are zero).  At each key (..., i, j, k), in product
+    order, "antisymmetry" is f(.., i, j, k) + f(.., j, i, k) and "cyclic"
+    is f(.., i, j, k) + f(.., j, k, i) + f(.., k, i, j): antisymmetry in
+    the last-but-one pair of slots and a zero cyclic sum over the last
+    three, the symmetries of a triple bracket and of every cochain of
+    degree 3 or more.  A sum is kept when any entry is nonzero (truthy),
+    so the entries may also be ``operators._Poly`` variables.
+    """
+    zero = vzero(m)
+    out = []
+    for key in itertools.product(range(n), repeat=arity):
+        head, (i, j, k) = key[:-3], key[-3:]
+        v = f.get(key, zero)
+        w = vadd(v, f.get(head + (j, i, k), zero))
+        if any(w):
+            out.append(("antisymmetry", key, w))
+        w = vadd(vadd(v, f.get(head + (j, k, i), zero)),
+                 f.get(head + (k, i, j), zero))
+        if any(w):
+            out.append(("cyclic", key, w))
+    return out
+
+
 def check_lts(system):
     """Verify the three defining axioms; witnesses name the failing triple.
 
-    The five-term identity says that each left multiplication
-    L = [e_i1, e_i2, .] is a derivation of the bracket.  It is checked for
-    every pair (i1, i2) with L nonzero by contracting L with the table:
-    L applied to each value against L applied in each input slot.
+    All antisymmetry witnesses come first, then all cyclic ones (see
+    ``symmetry_defects``).  The five-term identity says that each left
+    multiplication L = [e_i1, e_i2, .] is a derivation of the bracket.
+    It is checked for every pair (i1, i2) with L nonzero by contracting L
+    with the table: L applied to each value against L applied in each
+    input slot.
     """
     n = system.dim
     T = system.table
-    violations = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        v = vadd(system.coeff(i, j, k), system.coeff(j, i, k))
-        if not viszero(v):
-            violations.append({
-                "axiom": "antisymmetry",
-                "at": (i, j, k),
-                "value": v,
-            })
-    for i, j, k in itertools.product(range(n), repeat=3):
-        v = vadd(vadd(system.coeff(i, j, k), system.coeff(j, k, i)),
-                 system.coeff(k, i, j))
-        if not viszero(v):
-            violations.append({
-                "axiom": "cyclic",
-                "at": (i, j, k),
-                "value": v,
-            })
+    defects = symmetry_defects(T, n, 3, n)
+    violations = [{"axiom": kind, "at": at, "value": v}
+                  for axiom in ("antisymmetry", "cyclic")
+                  for kind, at, v in defects if kind == axiom]
     zero = vzero(n)
     for (i1, i2), L in slot_matrices(T, n, n, 2).items():
         if mat_iszero(L):
@@ -383,18 +377,22 @@ def check_lts(system):
 
 
 def check_lie_algebra(algebra):
-    """Antisymmetry and the Jacobi identity, with witnesses."""
+    """Antisymmetry and the Jacobi identity, with witnesses.
+
+    [e_i, [e_j, e_k]] is the structure constants c with c(j, k)
+    substituted into their second slot.
+    """
     n = algebra.dim
+    c = {key: algebra.coeff(*key) for key in itertools.product(range(n), repeat=2)}
     violations = []
-    for i, j in itertools.product(range(n), repeat=2):
-        v = vadd(algebra.coeff(i, j), algebra.coeff(j, i))
+    for i, j in c:
+        v = vadd(c[(i, j)], c[(j, i)])
         if not viszero(v):
             violations.append({"axiom": "antisymmetry", "at": (i, j), "value": v})
-    e = [tuple(1 if t == s else 0 for t in range(n)) for s in range(n)]
     for i, j, k in itertools.combinations(range(n), 3):
-        v = vadd(vadd(algebra.bracket(e[i], algebra.coeff(j, k)),
-                      algebra.bracket(e[j], algebra.coeff(k, i))),
-                 algebra.bracket(e[k], algebra.coeff(i, j)))
+        v = vadd(vadd(insert_in_slot(c, (i, None), 1, c[(j, k)], n),
+                      insert_in_slot(c, (j, None), 1, c[(k, i)], n)),
+                 insert_in_slot(c, (k, None), 1, c[(i, j)], n))
         if not viszero(v):
             violations.append({"axiom": "jacobi", "at": (i, j, k), "value": v})
     return Report(not violations, violations)
@@ -411,10 +409,10 @@ def lts_from_lie_algebra(algebra):
         raise ValueError("not a Lie algebra: %s fails at %r"
                          % (first["axiom"], first["at"]))
     n = algebra.dim
-    e = [tuple(1 if t == s else 0 for t in range(n)) for s in range(n)]
+    c = {key: algebra.coeff(*key) for key in itertools.product(range(n), repeat=2)}
     table = {}
     for i, j, k in itertools.product(range(n), repeat=3):
-        table[(i, j, k)] = algebra.bracket(algebra.coeff(i, j), e[k])
+        table[(i, j, k)] = insert_in_slot(c, (None, k), 0, c[(i, j)], n)
     return LieTripleSystem(n, table)
 
 

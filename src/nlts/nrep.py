@@ -26,16 +26,9 @@ finds 4 violations there.  Run check_representation on the result to
 find out.
 """
 
-from .linalg import matadd, mat_iszero, matmul, matsub
+from .linalg import as_matrix, matadd, mat_iszero, matmul, matsub
 from .lts import Report, Representation, apply_in_slot, slot_matrices
-from .operators import _check_operator, induced_bracket
-
-
-def _check_fiber_operator(rep, Nv):
-    m = rep.vdim
-    if len(Nv) != m or any(len(row) != m for row in Nv):
-        raise ValueError("fiber operator must be %d-by-%d" % (m, m))
-    return tuple(tuple(row) for row in Nv)
+from .operators import induced_bracket
 
 
 def _deformed_parts(rep, N, Nv):
@@ -70,8 +63,8 @@ def compatibility_sides(rep, N, Nv):
 
 def check_nijenhuis_rep(rep, N, Nv):
     """Verify the compatibility identity on all basis pairs of the base."""
-    N = _check_operator(rep.base, N)
-    Nv = _check_fiber_operator(rep, Nv)
+    n, m = rep.base.dim, rep.vdim
+    N, Nv = as_matrix(N, n, n, "operator"), as_matrix(Nv, m, m, "fiber operator")
     violations = [{"identity": "nijenhuis-representation", "at": key,
                    "lhs": lhs, "rhs": rhs}
                   for key, (lhs, rhs) in compatibility_sides(rep, N, Nv).items()
@@ -81,8 +74,8 @@ def check_nijenhuis_rep(rep, N, Nv):
 
 def deformed_theta(rep, N, Nv):
     """The deformed action theta_N as a dict over basis pairs."""
-    N = _check_operator(rep.base, N)
-    Nv = _check_fiber_operator(rep, Nv)
+    n, m = rep.base.dim, rep.vdim
+    N, Nv = as_matrix(N, n, n, "operator"), as_matrix(Nv, m, m, "fiber operator")
     return {key: parts[2]
             for key, parts in _deformed_parts(rep, N, Nv).items()}
 

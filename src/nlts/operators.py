@@ -15,6 +15,7 @@ N a morphism from it to the original one.
 import itertools
 
 from .linalg import (
+    as_matrix,
     ident,
     matadd,
     mat_iszero,
@@ -31,13 +32,6 @@ from .lts import LieTripleSystem, Report, add_tables, apply_in_slot, check_lts
 
 class BudgetExceeded(ValueError):
     """Raised when an exhaustive search would exceed its configured budget."""
-
-
-def _check_operator(system, N):
-    n = system.dim
-    if len(N) != n or any(len(row) != n for row in N):
-        raise ValueError("operator must be a %d-by-%d matrix" % (n, n))
-    return tuple(tuple(row) for row in N)
 
 
 def graded_brackets(system, N):
@@ -96,29 +90,37 @@ def _graded_witnesses(system, R, rhs_of):
     return out
 
 
-def nijenhuis_defect(system, N):
-    """Nonzero witnesses of [Nx,Ny,Nz] - N([x,y,z]_N) over basis triples."""
-    N = _check_operator(system, N)
+def _defect_witnesses(N, parts):
+    """(t, [Nx,Ny,Nz], N[x,y,z]_N) at each basis triple t of a
+    ``telescoped_brackets`` result where the two sides differ."""
     out = []
-    for t, (lhs, _, _, p2) in telescoped_brackets(system, N).items():
+    for t, (lhs, _, _, p2) in parts.items():
         rhs = matvec(N, p2)
         if lhs != rhs:
             out.append((t, lhs, rhs))
     return out
 
 
+def nijenhuis_defect(system, N):
+    """Nonzero witnesses of [Nx,Ny,Nz] - N([x,y,z]_N) over basis triples."""
+    N = as_matrix(N, system.dim, system.dim, "operator")
+    return _defect_witnesses(N, telescoped_brackets(system, N))
+
+
+def _nijenhuis_report(witnesses):
+    violations = [{"identity": "nijenhuis", "at": t, "lhs": lhs, "rhs": rhs}
+                  for t, lhs, rhs in witnesses]
+    return Report(not violations, violations)
+
+
 def is_nijenhuis(system, N):
     """Report whether N satisfies the Nijenhuis identity; witnesses show both sides."""
-    violations = [
-        {"identity": "nijenhuis", "at": t, "lhs": lhs, "rhs": rhs}
-        for t, lhs, rhs in nijenhuis_defect(system, N)
-    ]
-    return Report(not violations, violations)
+    return _nijenhuis_report(nijenhuis_defect(system, N))
 
 
 def is_rota_baxter(system, R, weight=0):
     """Rota-Baxter identity of the given weight, checked on basis triples."""
-    R = _check_operator(system, R)
+    R = as_matrix(R, system.dim, system.dim, "operator")
     lam = weight
 
     def rhs(a2, a1, a0):
@@ -133,7 +135,7 @@ def is_rota_baxter(system, R, weight=0):
 
 def is_modified_rb(system, R, weight=0):
     """Modified Rota-Baxter identity of the given weight on basis triples."""
-    R = _check_operator(system, R)
+    R = as_matrix(R, system.dim, system.dim, "operator")
     lam = weight
 
     def rhs(a2, a1, a0):
@@ -166,10 +168,11 @@ def induced_bracket(system, N):
     deformed structure constants satisfy the triple-system axioms; its
     verdict is the conjunction of the two.
     """
-    N = _check_operator(system, N)
-    table = {t: p2 for t, (_, _, _, p2) in telescoped_brackets(system, N).items()}
-    deformed = LieTripleSystem(system.dim, table)
-    nij = is_nijenhuis(system, N)
+    N = as_matrix(N, system.dim, system.dim, "operator")
+    parts = telescoped_brackets(system, N)
+    deformed = LieTripleSystem(system.dim,
+                               {t: p2 for t, (_, _, _, p2) in parts.items()})
+    nij = _nijenhuis_report(_defect_witnesses(N, parts))
     axioms = check_lts(deformed)
     warnings = []
     if not nij:
@@ -185,7 +188,7 @@ def induced_bracket(system, N):
 def is_morphism(source, target, N):
     """Whether N maps source brackets to target brackets: N[x,y,z]_s = [Nx,Ny,Nz]_t."""
     n = source.dim
-    N = _check_operator(source, N)
+    N = as_matrix(N, n, n, "operator")
     image = graded_brackets(target, N)[3]
     zero = vzero(target.dim)
     violations = []
@@ -222,8 +225,8 @@ def classify_by_square(system, N):
       * N^2 = +I:  Nijenhuis  <=>  modified Rota-Baxter of weight -1,
       * N^2 = -I:  Nijenhuis  <=>  modified Rota-Baxter of weight +1.
     """
-    N = _check_operator(system, N)
     n = system.dim
+    N = as_matrix(N, n, n, "operator")
     N2 = matmul(N, N)
     if mat_iszero(N):
         shape = "zero"

@@ -39,6 +39,7 @@ as degree-5 cocycle pairs, and strict ones as crossed modules.
 import itertools
 
 from .linalg import (
+    as_matrix,
     matmul,
     matsub,
     matvec,
@@ -59,6 +60,7 @@ from .lts import (
     check_representation,
     insert_in_slot,
     slot_matrices,
+    symmetry_defects,
 )
 from .cohomology import (
     Complex,
@@ -67,7 +69,7 @@ from .cohomology import (
     yamaguti_coboundary,
 )
 from .nrep import check_nijenhuis_rep, compatibility_sides
-from .operators import _check_operator, is_nijenhuis
+from .operators import is_nijenhuis
 
 
 class LieTriple2System:
@@ -77,10 +79,8 @@ class LieTriple2System:
                  l3_001=None, l5=None):
         self.n0 = int(dim0)
         self.n1 = int(dim1)
-        if len(h) != self.n0 or any(len(row) != self.n1 for row in h):
-            raise ValueError("h must be a %d-by-%d matrix" % (self.n0, self.n1))
-        self.h = tuple(tuple(row) for row in h)
         n0, n1 = self.n0, self.n1
+        self.h = as_matrix(h, n0, n1, "h")
         self.l3_000 = dense_tensor(l3_000, (n0, n0, n0), n0, "l3_000 value")
         self.l3_100 = dense_tensor(l3_100, (n1, n0, n0), n1, "l3_100 value")
         self.l3_010 = dense_tensor(l3_010, (n0, n1, n0), n1, "l3_010 value")
@@ -111,12 +111,8 @@ class Nijenhuis2Structure:
     def __init__(self, dim0, dim1, N0, N1, N2=None):
         self.n0 = int(dim0)
         self.n1 = int(dim1)
-        if len(N0) != self.n0 or any(len(row) != self.n0 for row in N0):
-            raise ValueError("N0 must be %d-by-%d" % (self.n0, self.n0))
-        if len(N1) != self.n1 or any(len(row) != self.n1 for row in N1):
-            raise ValueError("N1 must be %d-by-%d" % (self.n1, self.n1))
-        self.N0 = tuple(tuple(row) for row in N0)
-        self.N1 = tuple(tuple(row) for row in N1)
+        self.N0 = as_matrix(N0, self.n0, self.n0, "N0")
+        self.N1 = as_matrix(N1, self.n1, self.n1, "N1")
         self.N2 = dense_tensor(N2, (self.n0,) * 3, self.n1, "N2 value")
 
     def is_strict_part(self):
@@ -154,11 +150,12 @@ def check_2system(sys2):
     v = []
     bad = _recorder(v)
 
-    # L1: antisymmetry in the first two slots, in every grading
-    for i, j, k in itertools.product(range(n0), repeat=3):
-        w = vadd(s.l3_000[(i, j, k)], s.l3_000[(j, i, k)])
-        if not viszero(w):
-            bad("L1-base-antisymmetry", (i, j, k), w)
+    # L1: antisymmetry in the first two slots, in every grading; the base
+    # bracket's antisymmetry and cyclic sums are its symmetry_defects
+    base_defects = symmetry_defects(s.l3_000, n0, 3, n0)
+    for kind, at, w in base_defects:
+        if kind == "antisymmetry":
+            bad("L1-base-antisymmetry", at, w)
     for i, j in itertools.product(range(n0), repeat=2):
         for a in range(n1):
             w = vadd(s.l3_001[(i, j, a)], s.l3_001[(j, i, a)])
@@ -193,11 +190,9 @@ def check_2system(sys2):
                     bad("L3-" + name, (a, b, x), lhs, rhs)
 
     # L4: cyclic sums, in every grading
-    for i, j, k in itertools.product(range(n0), repeat=3):
-        w = vadd(vadd(s.l3_000[(i, j, k)], s.l3_000[(j, k, i)]),
-                 s.l3_000[(k, i, j)])
-        if not viszero(w):
-            bad("L4-base-cyclic", (i, j, k), w)
+    for kind, at, w in base_defects:
+        if kind == "cyclic":
+            bad("L4-base-cyclic", at, w)
     for i, j in itertools.product(range(n0), repeat=2):
         for a in range(n1):
             w = vadd(vadd(s.l3_001[(i, j, a)], s.l3_010[(j, a, i)]),
@@ -271,13 +266,8 @@ def check_nijenhuis_2system(sys2, nstr):
         bad("operator-h-commutation", None, comm)
 
     # (b), (c): N2 has cochain symmetry
-    for i, j, k in itertools.product(range(n0), repeat=3):
-        w = vadd(N2[(i, j, k)], N2[(j, i, k)])
-        if not viszero(w):
-            bad("N2-antisymmetry", (i, j, k), w)
-        w = vadd(vadd(N2[(i, j, k)], N2[(j, k, i)]), N2[(k, i, j)])
-        if not viszero(w):
-            bad("N2-cyclic", (i, j, k), w)
+    for kind, at, w in symmetry_defects(N2, n0, 3, n1):
+        bad("N2-" + kind, at, w)
 
     # (d): the base Nijenhuis defect is -h(N2)
     cx = associated_complex(sys2, nstr)
@@ -353,15 +343,11 @@ class CrossedModule:
         self.base = base
         self.n0 = base.dim
         self.n1 = int(fiber_dim)
-        self.N0 = _check_operator(base, N0)
+        self.N0 = as_matrix(N0, self.n0, self.n0, "N0")
         self.fiber = LieTripleSystem(self.n1, fiber_table)
-        if len(h) != self.n0 or any(len(row) != self.n1 for row in h):
-            raise ValueError("h must be %d-by-%d" % (self.n0, self.n1))
-        self.h = tuple(tuple(row) for row in h)
+        self.h = as_matrix(h, self.n0, self.n1, "h")
         self.action = Representation(base, self.n1, action)
-        if len(N1) != self.n1 or any(len(row) != self.n1 for row in N1):
-            raise ValueError("N1 must be %d-by-%d" % (self.n1, self.n1))
-        self.N1 = tuple(tuple(row) for row in N1)
+        self.N1 = as_matrix(N1, self.n1, self.n1, "N1")
 
 
 def check_crossed_module(xm):

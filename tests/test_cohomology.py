@@ -143,6 +143,38 @@ def test_w3_data_matches_pin():
         assert len(_w3_data(n)[0]) == ref.w_dim(n)
 
 
+def test_keys_outside_the_shape_are_refused(cx_l2_adj):
+    # a key of the wrong length or with an index past the dimension used to
+    # be dropped, so the cochain read as zero and passed every check
+    cx = cx_l2_adj
+    for f in ({(0, 1, 0, 0): (1, 0)}, {(0, 1, 7): (1, 0)}):
+        with pytest.raises(ValueError, match="outside the shape"):
+            normalize_cochain(f, 2, 2, 3)
+        report = validate_cochain(f, 2, 2, 3)
+        assert not report.ok
+        assert [v["constraint"] for v in report.violations] == ["shape"]
+        assert "%r" % (next(iter(f)),) in report.violations[0]["detail"]
+        cocycle = cx.is_cocycle(f, None, 3)
+        assert not cocycle.ok and cocycle.violations == report.violations
+    assert cx.is_coboundary({(0, 1, 9): (5, 0)}, None, 3) == (False, None)
+    assert cx.is_coboundary(zero_cochain(2, 2, 3), {(2,): (1, 0)}, 3) \
+        == (False, None)
+
+
+def test_sparse_cochains_flatten_like_their_normal_form(cx_l2_adj):
+    cx = cx_l2_adj
+    rng = random.Random(5)
+    for deg in (1, 3, 5):
+        f = lib_rand(cx, rng, deg)
+        sparse = {t: v for t, v in f.items() if any(v)}
+        assert cx.flatten(sparse, deg) == cx.flatten(f, deg)
+    f = {(0, 1, 0): (0, 1), (1, 0, 0): (0, -1)}
+    dense = normalize_cochain(f, 2, 2, 3)
+    assert cx.pair_flatten(f, None, 3) == cx.pair_flatten(dense, None, 3) \
+        == cx.pair_flatten(dense, zero_cochain(2, 2, 1), 3)
+    assert cx.pair_flatten({}, {}, 5) == [0] * cx._domain_dim(5)
+
+
 def test_normalize_cochain_round_trip():
     sparse = {(0, 1, 1): (1, 0), (1, 0, 1): (-1, 0)}
     full = normalize_cochain(sparse, 2, 2, 3)

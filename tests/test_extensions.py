@@ -25,6 +25,20 @@ from nlts.cohomology import cochain_add, cochain_iszero
 from nlts.extensions import chi_to_cochain, cochain_to_chi
 
 
+def test_extension_matrices_are_shape_checked(cx_l2_adj):
+    # a 2-by-3 Nv used to give a ragged Nhat and a 1-by-1 N an IndexError
+    cx = cx_l2_adj
+    psi, chi = zero_cochain(2, 2, 3), zeros(2)
+    for N, Nv, chi_, message in (
+            (cx.N, ((0, 1, 0), (0, 1, 0)), chi, "Nv must be a 2-by-2 matrix"),
+            (((1,),), cx.Nv, chi, "N must be a 2-by-2 matrix"),
+            (cx.N, cx.Nv, zeros(2, 3), "chi must be a 2-by-2 matrix")):
+        with pytest.raises(ValueError, match=message):
+            AbelianExtension(cx.system, cx.rep, N, Nv, psi, chi_)
+    ext = AbelianExtension(cx.system, cx.rep, cx.N, cx.Nv, psi, ((1, 2), (3, 4)))
+    assert ext.Nhat == ((0, 1, 0, 0), (0, 1, 0, 0), (1, 2, 0, 1), (3, 4, 0, 1))
+
+
 def rand_pair(cx, rng, lo=-3, hi=3):
     def combo(deg):
         out = {t: [0] * cx.m for t in zero_cochain(cx.n, cx.m, deg)}

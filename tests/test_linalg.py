@@ -10,6 +10,7 @@ import reference as ref
 from nlts import jsonio
 from nlts.cli import jsonable
 from nlts.linalg import (
+    as_matrix,
     dot,
     format_rational,
     ident,
@@ -22,6 +23,15 @@ from nlts.linalg import (
     zeros,
 )
 from nlts.operators import _Poly
+
+
+def test_as_matrix():
+    assert as_matrix([[1, 2], (3, Fraction(1, 2))], 2, 2, "M") \
+        == ((1, 2), (3, Fraction(1, 2)))
+    assert as_matrix([], 0, 3, "M") == ()
+    for M in ([[1, 2]], [[1, 2], [3]], [[1, 2], [3, 4], [5, 6]]):
+        with pytest.raises(ValueError, match="^M must be a 2-by-2 matrix$"):
+            as_matrix(M, 2, 2, "M")
 
 
 def test_rank_known_matrices():

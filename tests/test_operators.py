@@ -113,6 +113,26 @@ def test_induced_bracket_warns_for_non_nijenhuis():
     assert report.warnings
 
 
+def test_induced_bracket_expands_once():
+    # the Nijenhuis witnesses are read off the expansion that gives the
+    # deformed bracket; verdict and witnesses are those of the two checks
+    from unittest import mock
+    import nlts.operators as ops
+    cases = ((l2(), N01), (lts_from_lie_algebra(solv3_lie()), SOLV3_N),
+             (direct_sum(l2(), l2()), BAD_PAIR_N),
+             (lts_from_lie_algebra(sl2_lie()), ((1, 2, 0), (0, 1, 0), (3, 0, 1))))
+    for system, N in cases:
+        with mock.patch.object(ops, "telescoped_brackets",
+                               wraps=ops.telescoped_brackets) as spy:
+            deformed, report = induced_bracket(system, N)
+        assert spy.call_count == 1
+        nij, axioms = is_nijenhuis(system, N), check_lts(deformed)
+        assert report.violations == nij.violations + axioms.violations
+        assert (report.ok, report.data) == (nij.ok and axioms.ok, {
+            "nijenhuis_ok": nij.ok, "deformed_lts_ok": axioms.ok})
+        assert bool(report.warnings) == (not nij.ok)
+
+
 def test_rb_examples():
     assert is_rota_baxter(l2(), ((0, 1), (0, 0)), 0).ok
     assert is_rota_baxter(l2(), ((1, 0), (0, 0)), -1).ok

@@ -334,6 +334,35 @@ def test_symmetry_witnesses_of_l3_000_and_N2_match_oracle(entries, dense):
                        for k, at, w in ref.symmetry_witnesses(N2, n0, n1, 3)]
 
 
+def test_constructors_refuse_keys_outside_the_shape():
+    with pytest.raises(ValueError, match=r"l3_000 value at \(3, 3, 3\)"):
+        LieTriple2System(1, 1, ((0,),), l3_000={(3, 3, 3): (1,)})
+    with pytest.raises(ValueError, match="l5 value at"):
+        LieTriple2System(1, 1, ((0,),), l5={(0, 0, 0): (1,)})
+    with pytest.raises(ValueError, match="N2 value at"):
+        Nijenhuis2Structure(1, 1, ((0,),), ((0,),), {(0, 0, 1): (1,)})
+
+
+def test_matrix_shapes_are_checked_with_one_message():
+    system = l2()
+    theta = adjoint_rep(system).theta
+    for call, message in (
+            (lambda: LieTriple2System(2, 1, ((0, 0), (0, 0))),
+             "h must be a 2-by-1 matrix"),
+            (lambda: Nijenhuis2Structure(2, 1, ident(2), ident(2)),
+             "N1 must be a 1-by-1 matrix"),
+            (lambda: Nijenhuis2Structure(2, 1, ident(1), ident(1)),
+             "N0 must be a 2-by-2 matrix"),
+            (lambda: CrossedModule(system, ident(3), 2, {}, ident(2), theta,
+                                   N01), "N0 must be a 2-by-2 matrix"),
+            (lambda: CrossedModule(system, N01, 2, {}, zeros(2, 1), theta,
+                                   N01), "h must be a 2-by-2 matrix"),
+            (lambda: CrossedModule(system, N01, 2, {}, ident(2), theta,
+                                   ident(1)), "N1 must be a 2-by-2 matrix")):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_identity_crossed_module():
     system = l2()
     xm = CrossedModule(system, N01, 2, system.table, ident(2),
