@@ -436,6 +436,53 @@ def golden_payloads(root):
         payload = HOSTILE[case][1]
         if payload is not None:
             (root / ("hostile%d.json" % i)).write_text(json.dumps(payload))
+    for name, payload in schema_payloads(root).items():
+        (root / name).write_text(json.dumps(payload))
+
+
+def schema_payloads(root):
+    """Payloads that break the key schema of their kind: booleans for
+    integers, keys no reader reads, repeated sparse entries, index keys
+    that are not str(i), and a companion on a degree-1 pair."""
+    def load(name):
+        return json.loads((root / name).read_text())
+
+    def typo(name, *path):
+        obj = load(name)
+        node = obj
+        for key in path:
+            node = node[key]
+        node["typo"] = 1
+        return obj
+
+    out = {"booldim.json": {"dim": True, "bracket": []},
+           "booldims2sys.json": {"dim0": True, "dim1": True},
+           "booldegree.json": {"degree": True,
+                               "f": {"degree": True, "entries": []}}}
+    for name, source, path in (
+            ("typoN.json", "N01.json", ()), ("typorep.json", "adjL2.json", ()),
+            ("typopair.json", "cocycle3_L2.json", ()),
+            ("typocochain.json", "cocycle3_L2.json", ("f",)),
+            ("typoxmod.json", "xmodL2.json", ()),
+            ("typoext.json", "ext.json", ()),
+            ("typofiber.json", "ext.json", ("fiber",)),
+            ("typoentry.json", "L2.json", ("bracket", 0))):
+        out[name] = typo(source, *path)
+    twice = load("L2.json")
+    twice["bracket"].append(dict(twice["bracket"][0], out={"1": "5"}))
+    out["twiceL2.json"] = twice
+    pair = load("cocycle3_L2.json")
+    first = pair["f"]["entries"][0]
+    pair["f"]["entries"].append(dict(first, out={k: "5" for k in first["out"]}))
+    out["twicepair.json"] = pair
+    for i, key in enumerate(("+1", " 1", "0_1", "\u0661")):
+        alias = load("cocycle3_L2.json")
+        alias["f"]["entries"][0]["out"] = {key: "1"}
+        out["alias%d.json" % i] = alias
+    degree1 = load("cocycle1_L2.json")
+    degree1["g"] = {"degree": 1, "entries": []}
+    out["g1pair.json"] = degree1
+    return out
 
 
 SUBCOMMANDS = (
@@ -514,11 +561,25 @@ def golden_commands():
                 ["to-xmod", C("xmodL2.json")],
                 ["check-nijenhuis", N01f, C("idN.json")]]
     helps = [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
+    pair = ["cocycle-check", L2, N01f, ADJ]
+    schema = [
+        ["check-lts", C("booldim.json")], ["check-2sys", C("booldims2sys.json")],
+        pair + [C("booldegree.json")],
+        ["check-nijenhuis", L2, C("typoN.json")],
+        ["check-rep", L2, C("typorep.json")],
+        pair + [C("typopair.json")], pair + [C("typocochain.json")],
+        ["check-xmod", C("typoxmod.json")],
+        ["extract", C("typoext.json")], ["extract", C("typofiber.json")],
+        ["check-lts", C("typoentry.json")],
+        ["check-lts", C("twiceL2.json")], pair + [C("twicepair.json")],
+        *(pair + [C("alias%d.json" % i)] for i in range(4)),
+        pair + [C("g1pair.json")],
+    ]
     return ([mode + argv for mode in ([], ["--json"], ["--witness"])
              for argv in verify]
             + [mode + argv for mode in ([], ["--json"]) for argv in cohomology]
             + [["--json"] + argv for argv in emit]
-            + hostile + helps)
+            + hostile + helps + schema)
 
 
 def golden_records(root):
