@@ -6,6 +6,10 @@ accepted on input).  Sparse tensors are lists of entries
 equal to zero.  Serialization is deterministic: keys are sorted and the
 layout is fixed, so identical objects produce identical bytes.
 
+Each payload kind is one key table, read by ``_walk``: a missing required
+key, then a key outside the table, is refused; each key is then read in
+order, its path named in every message.  Absent optional keys are zero.
+
 Readers import the layer of the object they build when called, so
 reading a system or an operator loads no cochain or 2-system code.
 """
@@ -18,6 +22,9 @@ from .lts import LieTripleSystem, Representation
 
 class InputError(ValueError):
     """Malformed or ill-typed payload; command-line tools exit 2 on it."""
+
+
+_ABSENT = object()
 
 
 def load_json(path):
@@ -40,7 +47,9 @@ def dump_json(obj, path):
         fh.write(dumps(obj))
 
 
-def _scalar(value, where):
+def _scalar(value, where, got=None):
+    if value is _ABSENT:
+        return None
     try:
         return parse_rational(value)
     except (ValueError, TypeError) as exc:
@@ -49,22 +58,11 @@ def _scalar(value, where):
 
 def _is_index(a):
     """JSON integers only: ``true`` and ``false`` are not indices."""
-    return isinstance(a, int) and not isinstance(a, bool)
+    return type(a) is int
 
 
 def _matrix_out(M):
     return [[format_rational(x) for x in row] for row in M]
-
-
-def _matrix_in(obj, rows, cols, where):
-    if not isinstance(obj, list) or len(obj) != rows:
-        raise InputError("%s must be a list of %d rows" % (where, rows))
-    out = []
-    for r, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != cols:
-            raise InputError("%s row %d must have %d entries" % (where, r, cols))
-        out.append(tuple(_scalar(x, "%s[%d]" % (where, r)) for x in row))
-    return tuple(out)
 
 
 def _theta_out(theta, n):
@@ -76,21 +74,6 @@ def _vec_out(v):
     return {str(i): format_rational(x) for i, x in enumerate(v) if x != 0}
 
 
-def _vec_in(obj, length, where):
-    if not isinstance(obj, dict):
-        raise InputError("%s must be an object of index: value" % where)
-    out = [0] * length
-    for key, value in obj.items():
-        try:
-            i = int(key)
-        except ValueError as exc:
-            raise InputError("bad index %r in %s" % (key, where)) from exc
-        if not 0 <= i < length:
-            raise InputError("index %d out of range in %s" % (i, where))
-        out[i] = _scalar(value, where)
-    return tuple(out)
-
-
 def _entries_out(table):
     entries = []
     for key in sorted(table):
@@ -100,24 +83,141 @@ def _entries_out(table):
     return entries
 
 
-def _entries_in(obj, shape, outdim, where):
+# ---------------------------------------------------------------------------
+# the walker and its readers
+
+def _walk(obj, where, got, kind, must, rows):
+    """Read obj by its kind's key table into a copy of got, what the caller
+    knows.  rows maps each key to (required, reader, *args), and
+    reader(value, path, got, *args) sees the keys read before it, so _walk
+    reads nested kinds; with no reader the value is taken as it is.  A key
+    given in got may be omitted, and must agree where present."""
+    got = dict(got)
+    if not isinstance(obj, dict) or any(
+            row[0] and key not in obj and got.get(key) is None
+            for key, row in rows.items()):
+        raise InputError("%s must %s" % (where, must))
+    unknown = obj.keys() - rows.keys()
+    if unknown:
+        raise InputError("%s has keys outside the %s schema: %s"
+                         % (where, kind, ", ".join(sorted(unknown))))
+    for key, row in rows.items():
+        given = got.get(key)
+        if key in obj or given is None:
+            value = obj.get(key, _ABSENT)
+            if row[1]:
+                value = row[1](value, "%s.%s" % (where, key), got, *row[2:])
+            if given is not None and value != given:
+                raise InputError("%s has %s %d, expected %d"
+                                 % (where, key, value, given))
+            got[key] = value
+    return got
+
+
+def _size(spec, got):
+    """A size in a table: a path into got, a function of it, or a number."""
+    if isinstance(spec, str):
+        for key in spec.split("."):
+            got = got[key]
+        return got
+    return spec(got) if callable(spec) else spec
+
+
+def _count(value, where, got, text="a nonnegative integer", ok=None):
+    if not (_is_index(value) and value >= 0 and (ok is None or ok(value))):
+        raise InputError("%s must be %s" % (where, text))
+    return value
+
+
+def _matrix(obj, where, got, rows, cols, cell=_scalar):
+    """A rows-by-cols matrix, zero when absent, each entry read by cell."""
+    rows, cols = _size(rows, got), _size(cols, got)
+    if obj is _ABSENT:
+        return ((0,) * cols,) * rows
+    if not isinstance(obj, list) or len(obj) != rows:
+        raise InputError("%s must be a list of %d rows" % (where, rows))
+    out = []
+    for r, row in enumerate(obj):
+        if not isinstance(row, list) or len(row) != cols:
+            raise InputError("%s row %d must have %d entries" % (where, r, cols))
+        out.append(tuple(cell(x, "%s[%d]" % (where, r)) for x in row))
+    return tuple(out)
+
+
+def _theta(obj, where, got, n, m=None):
+    """n-by-n matrices of size m, keyed (i, j); m defaults to the first's."""
+    cells = _matrix(obj, where, got, n, n, lambda cell, path: cell)
+    if m is None:
+        if not cells or not isinstance(cells[0][0], list) or not cells[0][0]:
+            raise InputError("%s must hold nonempty matrices" % where)
+        m = len(cells[0][0])
+    return {(i, j): _matrix(M, "%s[%d][%d]" % (where, i, j), got, m, m)
+            for i, row in enumerate(cells) for j, M in enumerate(row)}
+
+
+def _vec(obj, length, where):
+    """An {"index": value} object, each index key written as str(i)."""
+    out = [0] * length
+    if obj is _ABSENT:
+        return tuple(out)
+    if not isinstance(obj, dict):
+        raise InputError("%s must be an object of index: value" % where)
+    for key, value in obj.items():
+        try:
+            i = int(key)
+        except ValueError:
+            i = -1
+        if key != str(i) or not 0 <= i < length:
+            raise InputError("bad index %r in %s" % (key, where))
+        out[i] = _scalar(value, where)
+    return tuple(out)
+
+
+def _entries(obj, where, got, shape, outdim, entry=(
+        "entry", 'be {"args": [...], "out": {...}}',
+        {"args": (True, None), "out": (True, None)})):
+    """A list of entries, each index tuple of the given shape at most once."""
+    if obj is _ABSENT:
+        return {}
     if not isinstance(obj, list):
         raise InputError("%s must be a list of entries" % where)
+    dims = [_size(s, got) for s in _size(shape, got)]
+    length = _size(outdim, got)
     table = {}
-    for c, entry in enumerate(obj):
+    for c, item in enumerate(obj):
         label = "%s[%d]" % (where, c)
-        if not isinstance(entry, dict) or "args" not in entry or "out" not in entry:
-            raise InputError('%s must be {"args": [...], "out": {...}}' % label)
-        args = entry["args"]
-        if (not isinstance(args, list) or len(args) != len(shape)
-                or not all(_is_index(a) for a in args)):
-            raise InputError("%s args must list %d indices" % (label, len(shape)))
-        key = tuple(args)
-        for a, s in zip(key, shape):
-            if not 0 <= a < s:
-                raise InputError("index %d out of range in %s" % (a, label))
-        table[key] = _vec_in(entry["out"], outdim, label)
+        # an entry with exactly the keys of its table reads as itself
+        e = (item if type(item) is dict and item.keys() == entry[2].keys()
+             else _walk(item, label, {}, *entry))
+        key = e.get("args", (e.get("i"), e.get("j"), e.get("k")))
+        if "args" in e and not (isinstance(key, list) and len(key) == len(dims)
+                                and all(_is_index(a) for a in key)):
+            raise InputError("%s args must list %d indices" % (label, len(dims)))
+        key = tuple(key)
+        if not all(_is_index(a) and 0 <= a < s for a, s in zip(key, dims)):
+            raise InputError("%s indices out of range" % label)
+        if key in table:
+            raise InputError("%s repeats the entry at %r" % (label, key))
+        table[key] = _vec(e["out"], length, label + ".out")
     return table
+
+
+def _cochain(obj, where, got, degree, dim="dim", vdim="vdim"):
+    return cochain_from_obj(obj, _size(dim, got), _size(vdim, got),
+                            _size(degree, got), where)[0]
+
+
+def _companion(obj, where, got):
+    """The g of a pair: two degrees below f; in degree 1 nothing reads it."""
+    if obj is _ABSENT or obj is None:
+        return None
+    if got["degree"] == 1:
+        raise InputError("%s must be null in degree 1" % where)
+    return _cochain(obj, where, got, got["degree"] - 2)
+
+
+def _vdim(got):
+    return len(got["theta"][(0, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -131,32 +231,17 @@ def system_to_obj(system):
     return {"dim": system.dim, "bracket": bracket}
 
 
+_SYSTEM = ("system", 'be {"dim": n, "bracket": [...]}', {
+    "dim": (True, _count),
+    "bracket": (False, _entries, ("dim",) * 3, "dim", (
+        "bracket entry", 'be {"i": i, "j": j, "k": k, "out": {...}}',
+        {"i": (True, None), "j": (True, None), "k": (True, None),
+         "out": (False, None)}))})
+
+
 def system_from_obj(obj, where="system"):
-    if not isinstance(obj, dict) or "dim" not in obj:
-        raise InputError('%s must be {"dim": n, "bracket": [...]}' % where)
-    unknown = sorted(obj.keys() - {"dim", "bracket"})
-    if unknown:
-        raise InputError("%s has keys outside the system schema: %s"
-                         % (where, ", ".join(unknown)))
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
-        raise InputError("%s dim must be a nonnegative integer" % where)
-    table = {}
-    for c, entry in enumerate(obj.get("bracket", [])):
-        label = "%s.bracket[%d]" % (where, c)
-        if not isinstance(entry, dict):
-            raise InputError("%s must be an object" % label)
-        try:
-            key = (entry["i"], entry["j"], entry["k"])
-        except KeyError as exc:
-            raise InputError("%s needs i, j, k" % label) from exc
-        if not all(_is_index(a) and 0 <= a < dim for a in key):
-            raise InputError("%s indices out of range" % label)
-        table[key] = _vec_in(entry.get("out", {}), dim, label)
-    try:
-        return LieTripleSystem(dim, table)
-    except ValueError as exc:
-        raise InputError("%s: %s" % (where, exc)) from exc
+    got = _walk(obj, where, {}, *_SYSTEM)
+    return LieTripleSystem(got["dim"], got["bracket"])
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +255,12 @@ def operator_to_obj(matrix, weight=None):
 
 
 def operator_from_obj(obj, dim=None, where="operator"):
-    if not isinstance(obj, dict) or "matrix" not in obj:
-        raise InputError('%s must be {"dim": n, "matrix": [...]}' % where)
-    n = obj.get("dim", dim)
-    if not isinstance(n, int) or n < 0:
-        raise InputError("%s dim must be a nonnegative integer" % where)
-    if dim is not None and n != dim:
-        raise InputError("%s has dim %d, expected %d" % (where, n, dim))
-    matrix = _matrix_in(obj["matrix"], n, n, "%s.matrix" % where)
-    weight = None
-    if "weight" in obj:
-        weight = _scalar(obj["weight"], "%s.weight" % where)
-    return matrix, weight
+    got = _walk(obj, where, {"dim": dim}, "operator",
+                'be {"dim": n, "matrix": [...]}',
+                {"dim": (True, _count),
+                 "matrix": (True, _matrix, "dim", "dim"),
+                 "weight": (False, _scalar)})
+    return got["matrix"], got["weight"]
 
 
 # ---------------------------------------------------------------------------
@@ -193,27 +272,11 @@ def rep_to_obj(rep, Nv):
 
 
 def rep_from_obj(obj, base, where="representation"):
-    if not isinstance(obj, dict) or "theta" not in obj or "Nv" not in obj:
-        raise InputError('%s must be {"theta": [...], "Nv": [...]}' % where)
-    n = base.dim
-    theta_obj = obj["theta"]
-    if not isinstance(theta_obj, list) or len(theta_obj) != n or any(
-            not isinstance(row, list) or len(row) != n for row in theta_obj):
-        raise InputError("%s.theta must be an %d-by-%d array of matrices"
-                         % (where, n, n))
-    if n == 0:
-        raise InputError("%s needs a positive-dimensional base" % where)
-    first = theta_obj[0][0]
-    if not isinstance(first, list) or not first:
-        raise InputError("%s.theta entries must be matrices" % where)
-    m = len(first)
-    theta = {}
-    for i in range(n):
-        for j in range(n):
-            theta[(i, j)] = _matrix_in(theta_obj[i][j], m, m,
-                                       "%s.theta[%d][%d]" % (where, i, j))
-    Nv = _matrix_in(obj["Nv"], m, m, "%s.Nv" % where)
-    return Representation(base, m, theta), Nv
+    got = _walk(obj, where, {"dim": base.dim}, "representation",
+                'be {"theta": [...], "Nv": [...]}',
+                {"theta": (True, _theta, "dim"),
+                 "Nv": (True, _matrix, _vdim, _vdim)})
+    return Representation(base, len(got["Nv"]), got["theta"]), got["Nv"]
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +288,14 @@ def cochain_to_obj(f, degree):
 
 def cochain_from_obj(obj, dim, vdim, degree=None, where="cochain"):
     from .cohomology import normalize_cochain
-    if not isinstance(obj, dict) or "entries" not in obj:
-        raise InputError('%s must be {"degree": d, "entries": [...]}' % where)
-    d = obj.get("degree", degree)
-    if not isinstance(d, int) or d < 1 or d % 2 == 0:
-        raise InputError("%s degree must be an odd positive integer" % where)
-    if degree is not None and d != degree:
-        raise InputError("%s has degree %d, expected %d" % (where, d, degree))
-    table = _entries_in(obj["entries"], (dim,) * d, vdim, "%s.entries" % where)
-    return normalize_cochain(table, dim, vdim, d), d
+    got = _walk(obj, where, {"degree": degree}, "cochain",
+                'be {"degree": d, "entries": [...]}',
+                {"degree": (True, _count, "an odd positive integer",
+                            lambda d: d % 2),
+                 "entries": (True, _entries,
+                             lambda got: (dim,) * got["degree"], vdim)})
+    d = got["degree"]
+    return normalize_cochain(got["entries"], dim, vdim, d), d
 
 
 def pair_to_obj(f, g, degree):
@@ -243,21 +305,12 @@ def pair_to_obj(f, g, degree):
 
 
 def pair_from_obj(obj, dim, vdim, degree=None, where="cochain pair"):
-    if not isinstance(obj, dict) or "f" not in obj:
-        raise InputError('%s must be {"degree": d, "f": {...}, "g": {...}}'
-                         % where)
-    d = obj.get("degree", degree)
-    if not isinstance(d, int) or d not in (1, 3, 5):
-        raise InputError("%s degree must be 1, 3, or 5" % where)
-    if degree is not None and d != degree:
-        raise InputError("%s has degree %d, expected %d" % (where, d, degree))
-    f, _ = cochain_from_obj(obj["f"], dim, vdim, d, "%s.f" % where)
-    g = None
-    if d > 1:
-        gobj = obj.get("g")
-        if gobj is not None:
-            g, _ = cochain_from_obj(gobj, dim, vdim, d - 2, "%s.g" % where)
-    return f, g, d
+    got = _walk(obj, where, {"dim": dim, "vdim": vdim, "degree": degree},
+                "cochain pair", 'be {"degree": d, "f": {...}, "g": {...}}',
+                {"degree": (True, _count, "1, 3, or 5", lambda d: d in (1, 3, 5)),
+                 "f": (True, _cochain, "degree"),
+                 "g": (False, _companion)})
+    return got["f"], got["g"], got["degree"]
 
 
 # ---------------------------------------------------------------------------
@@ -277,36 +330,22 @@ def extension_to_obj(ext):
 
 def extension_from_obj(obj, where="extension"):
     from .extensions import AbelianExtension
-    if not isinstance(obj, dict) or "base" not in obj or "fiber" not in obj:
-        raise InputError('%s must have "base", "fiber", "theta", "psi", "chi"'
-                         % where)
-    base_obj = obj["base"]
-    if isinstance(base_obj, dict):
-        base_obj = {k: v for k, v in base_obj.items() if k != "N"}
-    base = system_from_obj(base_obj, "%s.base" % where)
-    n = base.dim
-    if "N" not in obj["base"]:
-        raise InputError("%s.base needs an operator under N" % where)
-    N = _matrix_in(obj["base"]["N"], n, n, "%s.base.N" % where)
-    fiber = obj["fiber"]
-    if not isinstance(fiber, dict) or "vdim" not in fiber or "Nv" not in fiber:
-        raise InputError('%s.fiber must be {"vdim": m, "Nv": [...]}' % where)
-    m = fiber["vdim"]
-    if not isinstance(m, int) or m < 1:
-        raise InputError("%s.fiber.vdim must be a positive integer" % where)
-    Nv = _matrix_in(fiber["Nv"], m, m, "%s.fiber.Nv" % where)
-    rep, _ = rep_from_obj({"theta": obj.get("theta"), "Nv": fiber["Nv"]},
-                          base, "%s" % where)
-    if rep.vdim != m:
-        raise InputError("%s.theta acts on dimension %d, fiber says %d"
-                         % (where, rep.vdim, m))
-    psi = _entries_in(obj.get("psi", []), (n, n, n), m, "%s.psi" % where)
-    chi = _matrix_in(obj.get("chi", [[0] * n for _ in range(m)]), m, n,
-                     "%s.chi" % where)
-    try:
-        return AbelianExtension(base, rep, N, Nv, psi, chi)
-    except ValueError as exc:
-        raise InputError("%s: %s" % (where, exc)) from exc
+    got = _walk(obj, where, {}, "extension",
+                'have "base", "fiber", "theta", "psi", "chi"',
+                {"base": (True, _walk, "extension base",
+                          'be {"dim": n, "bracket": [...], "N": [...]}',
+                          {**_SYSTEM[2], "N": (True, _matrix, "dim", "dim")}),
+                 "fiber": (True, _walk, "fiber", 'be {"vdim": m, "Nv": [...]}',
+                           {"vdim": (True, _count, "a positive integer", bool),
+                            "Nv": (True, _matrix, "vdim", "vdim")}),
+                 "theta": (True, _theta, "base.dim", "fiber.vdim"),
+                 "psi": (False, _entries, ("base.dim",) * 3, "fiber.vdim"),
+                 "chi": (False, _matrix, "fiber.vdim", "base.dim")})
+    base, fiber = got["base"], got["fiber"]
+    system = LieTripleSystem(base["dim"], base["bracket"])
+    rep = Representation(system, fiber["vdim"], got["theta"])
+    return AbelianExtension(system, rep, base["N"], fiber["Nv"], got["psi"],
+                            got["chi"])
 
 
 # ---------------------------------------------------------------------------
@@ -330,49 +369,28 @@ def twosys_to_obj(sys2, nstr=None):
     return obj
 
 
-_TWOSYS_KEYS = {"dim0", "dim1", "h", "l3_000", "l3_t1slot0", "l3_t1slot1",
-                "l3_t1slot2", "l5", "N0", "N1", "N2"}
-
-
 def twosys_from_obj(obj, where="2-system"):
     from .twosys import LieTriple2System, Nijenhuis2Structure
-    if not isinstance(obj, dict) or "dim0" not in obj or "dim1" not in obj:
-        raise InputError('%s must carry "dim0" and "dim1"' % where)
-    unknown = sorted(obj.keys() - _TWOSYS_KEYS)
-    if unknown:
-        raise InputError("%s has keys outside the 2-system schema: %s"
-                         % (where, ", ".join(unknown)))
-    n0, n1 = obj["dim0"], obj["dim1"]
-    if not (isinstance(n0, int) and isinstance(n1, int) and n0 >= 0 and n1 >= 0):
-        raise InputError("%s dims must be nonnegative integers" % where)
-    h = _matrix_in(obj.get("h", [[0] * n1 for _ in range(n0)]), n0, n1,
-                   "%s.h" % where)
-    l3_000 = _entries_in(obj.get("l3_000", []), (n0, n0, n0), n0,
-                         "%s.l3_000" % where)
-    l3_100 = _entries_in(obj.get("l3_t1slot0", []), (n1, n0, n0), n1,
-                         "%s.l3_t1slot0" % where)
-    l3_010 = _entries_in(obj.get("l3_t1slot1", []), (n0, n1, n0), n1,
-                         "%s.l3_t1slot1" % where)
-    l3_001 = _entries_in(obj.get("l3_t1slot2", []), (n0, n0, n1), n1,
-                         "%s.l3_t1slot2" % where)
-    l5 = _entries_in(obj.get("l5", []), (n0,) * 5, n1, "%s.l5" % where)
-    try:
-        sys2 = LieTriple2System(n0, n1, h, l3_000, l3_100, l3_010, l3_001, l5)
-    except ValueError as exc:
-        raise InputError("%s: %s" % (where, exc)) from exc
-    nstr = None
-    if "N0" in obj or "N1" in obj or "N2" in obj:
-        if "N0" not in obj or "N1" not in obj:
-            raise InputError("%s needs both N0 and N1 for a Nijenhuis "
-                             "structure" % where)
-        N0 = _matrix_in(obj["N0"], n0, n0, "%s.N0" % where)
-        N1 = _matrix_in(obj["N1"], n1, n1, "%s.N1" % where)
-        N2 = _entries_in(obj.get("N2", []), (n0,) * 3, n1, "%s.N2" % where)
-        try:
-            nstr = Nijenhuis2Structure(n0, n1, N0, N1, N2)
-        except ValueError as exc:
-            raise InputError("%s: %s" % (where, exc)) from exc
-    return sys2, nstr
+    got = _walk(obj, where, {}, "2-system", 'carry "dim0" and "dim1"', {
+        "dim0": (True, _count), "dim1": (True, _count),
+        "h": (False, _matrix, "dim0", "dim1"),
+        "l3_000": (False, _entries, ("dim0",) * 3, "dim0"),
+        "l3_t1slot0": (False, _entries, ("dim1", "dim0", "dim0"), "dim1"),
+        "l3_t1slot1": (False, _entries, ("dim0", "dim1", "dim0"), "dim1"),
+        "l3_t1slot2": (False, _entries, ("dim0", "dim0", "dim1"), "dim1"),
+        "l5": (False, _entries, ("dim0",) * 5, "dim1"),
+        "N0": (False, _matrix, "dim0", "dim0"),
+        "N1": (False, _matrix, "dim1", "dim1"),
+        "N2": (False, _entries, ("dim0",) * 3, "dim1")})
+    n0, n1 = got["dim0"], got["dim1"]
+    sys2 = LieTriple2System(n0, n1, got["h"], got["l3_000"], got["l3_t1slot0"],
+                            got["l3_t1slot1"], got["l3_t1slot2"], got["l5"])
+    if not {"N0", "N1", "N2"} & obj.keys():
+        return sys2, None
+    if not {"N0", "N1"} <= obj.keys():
+        raise InputError("%s needs both N0 and N1 for a Nijenhuis "
+                         "structure" % where)
+    return sys2, Nijenhuis2Structure(n0, n1, got["N0"], got["N1"], got["N2"])
 
 
 # ---------------------------------------------------------------------------
@@ -393,36 +411,18 @@ def xmod_to_obj(xm):
 
 def xmod_from_obj(obj, where="crossed module"):
     from .twosys import CrossedModule
-    if not isinstance(obj, dict) or "dim0" not in obj or "dim1" not in obj:
-        raise InputError('%s must carry "dim0" and "dim1"' % where)
-    n0, n1 = obj["dim0"], obj["dim1"]
-    if not (isinstance(n0, int) and isinstance(n1, int) and n0 >= 0 and n1 >= 0):
-        raise InputError("%s dims must be nonnegative integers" % where)
-    base_table = _entries_in(obj.get("bracket0", []), (n0,) * 3, n0,
-                             "%s.bracket0" % where)
-    fiber_table = _entries_in(obj.get("bracket1", []), (n1,) * 3, n1,
-                              "%s.bracket1" % where)
-    base = LieTripleSystem(n0, base_table)
-    h = _matrix_in(obj.get("h", [[0] * n1 for _ in range(n0)]), n0, n1,
-                   "%s.h" % where)
-    N0 = _matrix_in(obj.get("N0", [[0] * n0 for _ in range(n0)]), n0, n0,
-                    "%s.N0" % where)
-    N1 = _matrix_in(obj.get("N1", [[0] * n1 for _ in range(n1)]), n1, n1,
-                    "%s.N1" % where)
-    lam_obj = obj.get("lambda")
-    if (not isinstance(lam_obj, list) or len(lam_obj) != n0 or any(
-            not isinstance(row, list) or len(row) != n0 for row in lam_obj)):
-        raise InputError("%s.lambda must be an %d-by-%d array of matrices"
-                         % (where, n0, n0))
-    action = {}
-    for i in range(n0):
-        for j in range(n0):
-            action[(i, j)] = _matrix_in(lam_obj[i][j], n1, n1,
-                                        "%s.lambda[%d][%d]" % (where, i, j))
-    try:
-        return CrossedModule(base, N0, n1, fiber_table, h, action, N1)
-    except ValueError as exc:
-        raise InputError("%s: %s" % (where, exc)) from exc
+    got = _walk(obj, where, {}, "crossed module",
+                'carry "dim0", "dim1" and "lambda"', {
+        "dim0": (True, _count), "dim1": (True, _count),
+        "bracket0": (False, _entries, ("dim0",) * 3, "dim0"),
+        "bracket1": (False, _entries, ("dim1",) * 3, "dim1"),
+        "h": (False, _matrix, "dim0", "dim1"),
+        "N0": (False, _matrix, "dim0", "dim0"),
+        "N1": (False, _matrix, "dim1", "dim1"),
+        "lambda": (True, _theta, "dim0", "dim1")})
+    return CrossedModule(LieTripleSystem(got["dim0"], got["bracket0"]),
+                         got["N0"], got["dim1"], got["bracket1"], got["h"],
+                         got["lambda"], got["N1"])
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +442,14 @@ def bundle_to_obj(complex_, f, g):
 
 def bundle_from_obj(obj, where="cocycle bundle"):
     from .cohomology import Complex
-    if not isinstance(obj, dict) or "system" not in obj:
-        raise InputError('%s must carry "system", "N", "theta", "Nv", '
-                         '"f", "g"' % where)
-    base = system_from_obj(obj["system"], "%s.system" % where)
-    n = base.dim
-    N = _matrix_in(obj.get("N", [[0] * n for _ in range(n)]), n, n,
-                   "%s.N" % where)
-    rep, Nv = rep_from_obj({"theta": obj.get("theta"), "Nv": obj.get("Nv")},
-                           base, where)
-    cx = Complex(base, rep, N, Nv)
-    f, _ = cochain_from_obj(obj["f"], n, rep.vdim, 5, "%s.f" % where)
-    g, _ = cochain_from_obj(obj["g"], n, rep.vdim, 3, "%s.g" % where)
-    return cx, f, g
+    got = _walk(obj, where, {}, "cocycle bundle",
+                'carry "system", "N", "theta", "Nv", "f", "g"', {
+                    "system": (True, _walk, *_SYSTEM),
+                    "N": (False, _matrix, "system.dim", "system.dim"),
+                    "theta": (True, _theta, "system.dim"),
+                    "Nv": (True, _matrix, _vdim, _vdim),
+                    "f": (True, _cochain, 5, "system.dim", _vdim),
+                    "g": (True, _cochain, 3, "system.dim", _vdim)})
+    system = LieTripleSystem(got["system"]["dim"], got["system"]["bracket"])
+    rep = Representation(system, len(got["Nv"]), got["theta"])
+    return Complex(system, rep, got["N"], got["Nv"]), got["f"], got["g"]

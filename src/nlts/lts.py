@@ -139,13 +139,14 @@ class Representation:
     def __init__(self, base, vdim, theta):
         self.base = base
         self.vdim = int(vdim)
-        n = base.dim
         self.theta = {}
-        for i in range(n):
-            for j in range(n):
-                M = theta.get((i, j)) if isinstance(theta, dict) else theta[i][j]
-                self.theta[(i, j)] = as_matrix(zeros(vdim) if M is None else M,
-                                               vdim, vdim, "theta(%d,%d)" % (i, j))
+        for i, j in itertools.product(range(base.dim), repeat=2):
+            M = theta.get((i, j)) if isinstance(theta, dict) else theta[i][j]
+            self.theta[(i, j)] = as_matrix(zeros(vdim) if M is None else M,
+                                           vdim, vdim, "theta(%d,%d)" % (i, j))
+        if isinstance(theta, dict) and not theta.keys() <= self.theta.keys():
+            raise ValueError("theta at %r is outside the base pairs"
+                             % (min(theta.keys() - self.theta.keys()),))
 
     def D(self, i, j):
         """D(e_i, e_j) = theta(e_j, e_i) - theta(e_i, e_j)."""

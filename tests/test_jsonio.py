@@ -1,12 +1,18 @@
 """Round trips and input validation for the JSON payloads."""
 
+import copy
+import functools
 import json
+import os
+import tempfile
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from nlts import (
     AbelianExtension,
+    Complex,
     CrossedModule,
     adjoint_rep,
     cocycle_to_skeletal,
@@ -15,6 +21,7 @@ from nlts import (
     zero_cochain,
     zeros,
 )
+from nlts.cli import emit_corpus
 from nlts.jsonio import (
     InputError,
     bundle_from_obj,
@@ -235,3 +242,172 @@ def test_system_rejects_bad_payloads():
     with pytest.raises(InputError):
         system_from_obj({"dim": 2, "bracket": [
             {"i": 0, "j": 1, "k": 2, "out": {}}]})
+
+
+# ---------------------------------------------------------------------------
+# one schema: every reader refuses what it does not read, naming the path
+
+W = "payload"
+
+
+@functools.lru_cache(maxsize=None)
+def schema_cases():
+    """(name, payload, round trip) for every `nlts corpus` payload, an
+    extension and a bundle; each round trip reads at path W and writes."""
+    with tempfile.TemporaryDirectory() as target:
+        names = emit_corpus(target)
+        files = {name: load_json(os.path.join(target, name)) for name in names}
+    bases = {"adjL2.json": "L2.json", "adjsolv3.json": "solv3lts.json",
+             "trivialrep.json": "abelian.json"}
+    cases = []
+    for name, obj in files.items():
+        if "bracket" in obj:
+            def trip(o):
+                return system_to_obj(system_from_obj(o, W))
+        elif "matrix" in obj:
+            def trip(o):
+                return operator_to_obj(*operator_from_obj(o, None, W))
+        elif "Nv" in obj:
+            def trip(o, base=system_from_obj(files[bases[name]])):
+                return rep_to_obj(*rep_from_obj(o, base, W))
+        elif "f" in obj:
+            def trip(o):
+                return pair_to_obj(*pair_from_obj(o, 2, 2, None, W))
+        elif "lambda" in obj:
+            def trip(o):
+                return xmod_to_obj(xmod_from_obj(o, W))
+        else:
+            def trip(o):
+                return twosys_to_obj(*twosys_from_obj(o, W))
+        cases.append((name, obj, trip))
+    cx = Complex(l2(), adjoint_rep(l2()), N01, N01)
+    ext = AbelianExtension(cx.system, cx.rep, cx.N, cx.Nv,
+                           cx.cochain_basis(3)[0], ((1, 0), (Fraction(2, 5), -1)))
+    cases.append(("extension", extension_to_obj(ext),
+                  lambda o: extension_to_obj(extension_from_obj(o, W))))
+    cases.append(("bundle", bundle_to_obj(cx, *cx.kernel_pairs(5)[1]),
+                  lambda o: bundle_to_obj(*bundle_from_obj(o, W))))
+    return cases
+
+
+def nodes(obj, path=W):
+    """Every (path, container) of a payload, lists and dicts alike."""
+    yield path, obj
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from nodes(value, "%s[%d]" % (path, key) if isinstance(key, int)
+                             else "%s.%s" % (path, key))
+
+
+def mutation_targets(obj):
+    """Where each mutation can act: dict paths for an unknown key, integer
+    fields for a boolean with the path its message names (an index of an
+    entry is named by its entry, any other field by itself), and entry
+    lists for a repeated entry."""
+    dicts, ints, entries = [], [], []
+    for path, node in nodes(obj):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        if isinstance(node, dict):
+            dicts.append(path)
+        for key, value in items:
+            if _is_json_int(value):
+                named = (path[:-len(".args")] if isinstance(key, int)
+                         else path if key in ("i", "j", "k")
+                         else "%s.%s" % (path, key))
+                ints.append((path, key, named))
+        if node and isinstance(node, list) and all(
+                isinstance(e, dict) and "out" in e for e in node):
+            entries.append(path)
+    return dicts, ints, entries
+
+
+def _is_json_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def node_at(obj, path):
+    return dict(nodes(obj))[path]
+
+
+def test_every_payload_round_trips():
+    cases = schema_cases()
+    assert len(cases) == 26
+    for name, obj, trip in cases:
+        assert trip(copy.deepcopy(obj)) == obj, name
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_payloads_are_refused_by_path(data):
+    name, obj, trip = data.draw(st.sampled_from(schema_cases()))
+    obj = copy.deepcopy(obj)
+    dicts, ints, entries = mutation_targets(obj)
+    kinds = (["unknown key"] + (["boolean"] if ints else [])
+             + (["repeat"] if entries else []))
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "unknown key":
+        path = data.draw(st.sampled_from(dicts))
+        node_at(obj, path)["typo"] = 1
+    elif kind == "boolean":
+        where, key, path = data.draw(st.sampled_from(ints))
+        node_at(obj, where)[key] = True
+    else:
+        path = data.draw(st.sampled_from(entries))
+        node = node_at(obj, path)
+        node.append(copy.deepcopy(data.draw(st.sampled_from(node))))
+        path = "%s[%d]" % (path, len(node) - 1)
+    with pytest.raises(InputError) as info:
+        trip(obj)
+    assert path in str(info.value), (name, kind, str(info.value))
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda o: o.pop("dim"), 'payload must be {"dim": n, "bracket": [...]}'),
+    (lambda o: o["bracket"][0].pop("k"),
+     'payload.bracket[0] must be {"i": i, "j": j, "k": k, "out": {...}}'),
+    (lambda o: o["bracket"][0]["out"].update({"+1": "1"}),
+     "bad index '+1' in payload.bracket[0].out"),
+    (lambda o: o["bracket"][0]["out"].update({"01": "1"}),
+     "bad index '01' in payload.bracket[0].out"),
+    (lambda o: o["bracket"][0]["out"].update({"2": "1"}),
+     "bad index '2' in payload.bracket[0].out"),
+    (lambda o: o.update(bracket=5), "payload.bracket must be a list of entries"),
+    (lambda o: o.update(dim=-1), "payload.dim must be a nonnegative integer"),
+])
+def test_system_payload_faults_name_their_path(mutate, message):
+    obj = system_to_obj(l2())
+    mutate(obj)
+    with pytest.raises(InputError) as info:
+        system_from_obj(obj, W)
+    assert str(info.value) == message
+
+
+def test_pair_companion_and_required_keys():
+    obj1 = pair_to_obj(zero_cochain(2, 2, 1), None, 1)
+    assert pair_from_obj(obj1, 2, 2, None, W)[1] is None
+    del obj1["g"]
+    assert pair_from_obj(obj1, 2, 2, None, W)[1] is None
+    obj1["g"] = cochain_to_obj(zero_cochain(2, 2, 1), 1)
+    with pytest.raises(InputError, match=r"^payload\.g must be null in degree 1$"):
+        pair_from_obj(obj1, 2, 2, None, W)
+    obj3 = pair_to_obj(zero_cochain(2, 2, 3), zero_cochain(2, 2, 1), 3)
+    obj3["f"]["degree"] = 1
+    with pytest.raises(InputError, match=r"^payload\.f has degree 1, expected 3$"):
+        pair_from_obj(obj3, 2, 2, None, W)
+    with pytest.raises(InputError, match=r"^payload\.f must be \{"):
+        pair_from_obj({"degree": 3, "f": [], "g": None}, 2, 2, None, W)
+
+
+def test_bundle_and_extension_need_their_keys(cx_l2_adj):
+    cx = cx_l2_adj
+    bundle = bundle_to_obj(cx, *cx.kernel_pairs(5)[0])
+    for key in ("f", "g", "theta", "Nv", "system"):
+        broken = {k: v for k, v in bundle.items() if k != key}
+        with pytest.raises(InputError, match="^payload must carry"):
+            bundle_from_obj(broken, W)
+    ext = extension_to_obj(AbelianExtension(
+        cx.system, cx.rep, cx.N, cx.Nv, zero_cochain(2, 2, 3), zeros(2)))
+    del ext["fiber"]["vdim"]
+    with pytest.raises(InputError, match=r'^payload\.fiber must be \{"vdim"'):
+        extension_from_obj(ext, W)

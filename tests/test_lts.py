@@ -213,6 +213,15 @@ def test_representation_violation_witness():
     assert kinds <= {"pair-action", "derivation-action"}
 
 
+def test_representation_refuses_theta_keys_outside_the_base_pairs():
+    with pytest.raises(ValueError, match=r"theta at \(5, 5\) is outside"):
+        Representation(l2(), 1, {(5, 5): ((1,),), (0, 0): ((0,),)})
+    with pytest.raises(ValueError, match=r"theta at \(0, 2\) is outside"):
+        Representation(l2(), 1, {(0, 2): ((0,),)})
+    # a partial dict inside the base pairs still reads missing pairs as zero
+    assert Representation(l2(), 1, {(1, 0): ((2,),)}).theta[(0, 0)] == ((0,),)
+
+
 def _valid_actions(rng, n, br):
     """(m, theta) for representations: the adjoint one, the adjoint one
     in a random fiber basis, and trivial ones with m = 1..3."""
