@@ -93,9 +93,9 @@ def _walk(obj, where, got, kind, must, rows):
     reads nested kinds; with no reader the value is taken as it is.  A key
     given in got may be omitted, and must agree where present."""
     got = dict(got)
-    if not isinstance(obj, dict) or any(
+    if not isinstance(obj, dict) or (obj.keys() != rows.keys() and any(
             row[0] and key not in obj and got.get(key) is None
-            for key, row in rows.items()):
+            for key, row in rows.items())):
         raise InputError("%s must %s" % (where, must))
     unknown = obj.keys() - rows.keys()
     if unknown:
