@@ -456,6 +456,11 @@ def golden_payloads(root):
             (root / ("hostile%d.json" % i)).write_text(json.dumps(payload))
     for name, payload in schema_payloads(root).items():
         (root / name).write_text(json.dumps(payload))
+    # repeated object keys, which json.dumps cannot write
+    (root / "twicedim.json").write_text('{"dim": 2, "dim": 1, "bracket": []}')
+    (root / "twicematrix.json").write_text(
+        '{"dim": 2, "matrix": [["0", "1"], ["0", "0"]],'
+        ' "matrix": [["1", "0"], ["0", "1"]]}')
 
 
 def schema_payloads(root):
@@ -592,6 +597,8 @@ def golden_commands():
         ["check-lts", C("twiceL2.json")], pair + [C("twicepair.json")],
         *(pair + [C("alias%d.json" % i)] for i in range(4)),
         pair + [C("g1pair.json")],
+        ["check-lts", C("twicedim.json")],
+        ["check-nijenhuis", L2, C("twicematrix.json")],
     ]
     return ([mode + argv for mode in ([], ["--json"], ["--witness"])
              for argv in verify]
