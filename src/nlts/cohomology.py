@@ -37,12 +37,14 @@ with g one bracket-degree below f (absent in degree 1).  Cohomology in
 degree 1 is ker d; in degrees 3 and 5 it is ker d modulo the image of
 the previous d.
 
-The matrix of d is read off one run of d on a pair of variables, and
-delta and partial run there only at the transversal tuples where
-``Complex.flatten`` reads coordinates (phi runs whole).  ``is_cocycle``
-runs d at every tuple, on den*f and den*g with den the lcm of their
-denominators, so the arithmetic is on integers; d is linear, so each
-witness value is the result divided by den.
+d is written once, as its terms at one output tuple (``coboundary_terms``
+and phi's slot step), with two readers: the numeric one evaluates them on
+a cochain, and the row one adds them, from the coordinate index of the
+domain basis, into one sparse row per output coordinate at the transversal
+tuples ``Complex.flatten`` reads, which gives the matrix of d.
+``is_cocycle`` runs d at every tuple, on den*f and den*g with den the lcm
+of their denominators, so the arithmetic is on integers; d is linear, so
+each witness value is the result divided by den.
 """
 
 from fractions import Fraction
@@ -52,6 +54,7 @@ import math
 from .linalg import (
     as_matrix,
     kernel_basis,
+    matmul,
     matsub,
     matvec,
     rank,
@@ -62,7 +65,7 @@ from .linalg import (
     vsub,
     vzero,
 )
-from .lts import Report, apply_in_slot, insert_in_slot, symmetry_defects
+from .lts import Report, insert_in_slot, symmetry_defects
 from .nrep import deformed_theta
 from .operators import _Poly, telescoped_brackets
 
@@ -199,41 +202,86 @@ def validate_cochain(f, dim, vdim, degree):
     return Report(not violations, violations)
 
 
-def yamaguti_coboundary(f, degree, n, m, theta, D, ins, tuples=None):
-    """Yamaguti's coboundary (see the module docstring) of an odd-degree f.
+def coboundary_terms(t, degree, theta, D, brackets):
+    """Yamaguti's coboundary (module docstring) of an odd-degree f at the
+    output tuple t, as terms (c, M, args, pos, w): the sign c times M (None:
+    the identity) applied to f at args with the vector w in slot pos (None:
+    f at args).  ``theta`` and ``D`` map basis pairs to matrices;
+    ``brackets[key]`` lists (c, M, w) per part of the bracket e_key fed into
+    a slot, and a part with w zero is no term."""
+    yield 1, theta[t[-2:]], t[:-2], None, None
+    yield -1, theta[(t[-3], t[-1])], t[:-3] + t[-2:-1], None, None
+    sign = (-1) ** (degree // 2)  # (-1)^(p+k+1) at k = 1
+    for k in range(0, degree, 2):
+        pair = t[k:k + 2]
+        rest = t[:k] + t[k + 2:]
+        yield sign, D[pair], rest, None, None
+        for pos in range(k, degree):
+            for c, M, w in brackets[pair + (rest[pos],)]:
+                if any(w):
+                    yield -sign * c, M, rest, pos, w
+        sign = -sign
 
-    ``f`` maps every tuple of base indices to a vector of length m,
-    ``theta`` and ``D`` map basis pairs to m-by-m matrices, and
-    ``ins(f, args, pos, (i, j, k))`` is f at args with the bracket
-    [e_i, e_j, e_k] in slot pos.  The value is computed at each of
-    ``tuples`` (every (degree+2)-tuple by default) and at no other.
-    """
+
+def _evaluate(f, m, terms):
+    """The numeric reader of a term list (see ``coboundary_terms``): its
+    value on a cochain f given at every tuple."""
+    acc = [0] * m
+    for c, M, args, pos, w in terms:
+        v = f[args] if pos is None else insert_in_slot(f, args, pos, w, m)
+        if any(v):
+            if M is not None:
+                v = matvec(M, v)
+            for a, x in enumerate(v):
+                if x:
+                    acc[a] = acc[a] + x if c > 0 else acc[a] - x
+    return tuple(acc)
+
+
+def _accumulate(rows, index, terms, sign):
+    """The row reader of a term list (see ``coboundary_terms``): add sign
+    times its terms into ``rows``, one sparse ``{column: coefficient}`` row
+    per output coordinate, and return them.  ``index`` maps a tuple to such
+    a row per fiber coordinate of f there; a missing tuple is zero."""
+    m = len(rows)
+    for c, M, args, pos, w in terms:
+        sources = ([(sign * c, args)] if pos is None else
+                   [(sign * c * x, args[:pos] + (j,) + args[pos + 1:])
+                    for j, x in enumerate(w) if x])
+        for x, key in sources:
+            for b, col in enumerate(index.get(key, ())):
+                for a, y in (((b, x),) if M is None else
+                             ((a, x * M[a][b]) for a in range(m) if M[a][b])):
+                    row = rows[a]
+                    for k, z in col.items():
+                        v = row.get(k, 0) + y * z
+                        if v:
+                            row[k] = v
+                        else:
+                            del row[k]
+    return rows
+
+
+def _coordinates(n, m, degree, offset=0):
+    """Each tuple where a basis cochain of one degree is nonzero, mapped to
+    one ``{column: coefficient}`` row per fiber coordinate: the entry as a
+    linear form in the coordinates, numbered from offset in basis order."""
+    index = {}
+    for b, (prefix, tail, _) in enumerate(_basis_tensors(n, degree)):
+        for t, coef in tail.items():
+            rows = index.setdefault(prefix + t, [{} for _ in range(m)])
+            for a in range(m):
+                rows[a][offset + b * m + a] = coef
+    return index
+
+
+def yamaguti_coboundary(f, degree, n, m, theta, D, brackets):
+    """The numeric reader of ``coboundary_terms`` at every (degree+2)-tuple."""
     if degree < 1 or degree % 2 == 0:
         raise ValueError("differentials act on odd degrees; got %d" % degree)
-    if tuples is None:
-        tuples = itertools.product(range(n), repeat=degree + 2)
-    out = {}
-    for t in tuples:
-        acc = [0] * m
-        terms = [(1, theta[t[-2:]], f[t[:-2]]),
-                 (-1, theta[(t[-3], t[-1])], f[t[:-3] + t[-2:-1]])]
-        sign = (-1) ** (degree // 2)  # (-1)^(p+k+1) at k = 1
-        for k in range(0, degree, 2):
-            pair = t[k:k + 2]
-            rest = t[:k] + t[k + 2:]
-            terms.append((sign, D[pair], f[rest]))
-            for pos in range(k, degree):
-                w = ins(f, rest, pos, pair + (rest[pos],))
-                for a in range(m):
-                    acc[a] -= sign * w[a]
-            sign = -sign
-        for c, M, v in terms:
-            if any(v):
-                w = matvec(M, v)
-                for a in range(m):
-                    acc[a] += c * w[a]
-        out[t] = tuple(acc)
-    return out
+    return {t: _evaluate(f, m, coboundary_terms(t, degree, theta, D,
+                                                brackets))
+            for t in itertools.product(range(n), repeat=degree + 2)}
 
 
 class Complex:
@@ -255,46 +303,43 @@ class Complex:
         self.thetaN = deformed_theta(rep, self.N, self.Nv)
         self.DN = {(i, j): matsub(self.thetaN[(j, i)], self.thetaN[(i, j)])
                    for i in range(n) for j in range(n)}
+        self._NT = tuple(zip(*self.N))
         # (a3, p0, p1, p2) per basis triple, see telescoped_brackets
         self._parts = telescoped_brackets(system, self.N)
+        # the bracket parts delta and partial feed into a cochain slot
+        Nv2 = matmul(self.Nv, self.Nv)
+        self._delta_brackets = {k: ((1, None, p0),)
+                                for k, (_, p0, _, _) in self._parts.items()}
+        self._partial_brackets = {
+            k: ((1, None, p2), (-1, self.Nv, p1), (1, Nv2, p0))
+            for k, (_, p0, p1, p2) in self._parts.items()}
         self._rows = {}
         self._rank = {}
 
-    def _tele(self, f, args, pos, key):
-        """Alternating insertion of the three graded brackets at one slot."""
-        Nv = self.Nv
-        _, p0, p1, p2 = self._parts[key]
-        ins = lambda p: insert_in_slot(f, args, pos, p, self.m)
-        v = vsub(ins(p2), matvec(Nv, ins(p1)))
-        return vadd(v, matvec(Nv, matvec(Nv, ins(p0))))
-
     # -- the three operators ------------------------------------------------
 
-    def delta(self, f, degree, tuples=None):
-        """Yamaguti coboundary of the underlying structure (degree +2), at
-        ``tuples`` only if given."""
-        f = normalize_cochain(f, self.n, self.m, degree)
-        ins = lambda g, args, pos, key: insert_in_slot(g, args, pos,
-                                                       self._parts[key][1],
-                                                       self.m)
-        return yamaguti_coboundary(f, degree, self.n, self.m, self.theta,
-                                   self.D, ins, tuples)
+    def _phi_step(self, t, s):
+        """phi's slot step s at t, as terms: N in slot s minus Nv after."""
+        return ((1, None, t, s, self._NT[t[s]]), (-1, self.Nv, t, None, None))
 
-    def partial(self, f, degree, tuples=None):
-        """Deformed coboundary with alternating graded insertions (degree +2),
-        at ``tuples`` only if given."""
+    def delta(self, f, degree):
+        """Yamaguti coboundary of the underlying structure (degree +2)."""
+        f = normalize_cochain(f, self.n, self.m, degree)
+        return yamaguti_coboundary(f, degree, self.n, self.m, self.theta,
+                                   self.D, self._delta_brackets)
+
+    def partial(self, f, degree):
+        """Deformed coboundary with alternating graded insertions
+        (degree +2)."""
         f = normalize_cochain(f, self.n, self.m, degree)
         return yamaguti_coboundary(f, degree, self.n, self.m, self.thetaN,
-                                   self.DN, self._tele, tuples)
+                                   self.DN, self._partial_brackets)
 
     def phi(self, f, degree):
         """Product over slots of (apply N in the slot) - (apply Nv after)."""
         g = normalize_cochain(f, self.n, self.m, degree)
-        zero = vzero(self.m)
         for s in range(degree):
-            moved = apply_in_slot(g, self.N, s)
-            g = {t: vsub(moved.get(t, zero), matvec(self.Nv, v))
-                 for t, v in g.items()}
+            g = {t: _evaluate(g, self.m, self._phi_step(t, s)) for t in g}
         return g
 
     def d(self, f, g, degree):
@@ -310,17 +355,16 @@ class Complex:
             df = self.delta(f, degree)
         return df, self.d_second(f, g, degree)
 
-    def d_second(self, f, g, degree, tuples=None):
+    def d_second(self, f, g, degree):
         """The second component of d(f, g), partial g + (-1)^k phi f; a
-        missing f or g is zero.  Given ``tuples`` and a g, partial g and so
-        the sum are computed at those tuples only."""
+        missing f or g is zero."""
         if f is None:
             second = zero_cochain(self.n, self.m, degree)
         else:
             second = cochain_scale((-1) ** ((degree + 1) // 2),
                                    self.phi(f, degree))
         if g is not None:
-            second = cochain_add(self.partial(g, degree - 2, tuples), second)
+            second = cochain_add(self.partial(g, degree - 2), second)
         return second
 
     # -- bases, flattening, matrices ---------------------------------------
@@ -341,16 +385,10 @@ class Complex:
 
     def from_coefficients(self, coeffs, degree):
         """Linear combination of the cochain basis."""
-        m = self.m
-        f = {t: list(v) for t, v in zero_cochain(self.n, m, degree).items()}
-        slots = ((prefix, tail, a)
-                 for prefix, tail, _ in _basis_tensors(self.n, degree)
-                 for a in range(m))
-        for c, (prefix, tail, a) in zip(coeffs, slots):
-            if c:
-                for t, coef in tail.items():
-                    f[prefix + t][a] += c * coef
-        return {t: tuple(v) for t, v in f.items()}
+        index, zero = _coordinates(self.n, self.m, degree), vzero(self.m)
+        return {t: tuple(sum(coeffs[k] * c for k, c in row.items() if coeffs[k])
+                         for row in index[t]) if t in index else zero
+                for t in itertools.product(range(self.n), repeat=degree)}
 
     def _domain_dim(self, degree):
         """Dimension of C^degree + C^(degree-2), the domain of d."""
@@ -358,23 +396,37 @@ class Complex:
                    for k in (degree, degree - 2) if k > 0)
 
     def _d_matrix(self, degree):
-        """Rows of the matrix of d in one degree, from one run of d.
+        """Rows of the matrix of d in one degree: row r is the sparse
+        ``{column: coefficient}`` form of entry r of ``pair_flatten(d(f, g))``.
 
-        d runs on the pair whose coordinate k is the variable k (an
-        ``operators._Poly``), so each entry of the flattened image is a
-        linear form, and row r is the sparse ``{k: coefficient}`` of entry r.
-        The run evaluates delta and partial only at the transversal tuples
-        that ``flatten`` reads; phi runs whole.
+        At each transversal tuple that ``flatten`` reads, the terms of delta,
+        partial and phi's last slot step are added into m rows from the
+        domain's coordinate index; phi's earlier slot steps run everywhere.
         """
         if degree not in self._rows:
-            x = [_Poly({(k,): 1}) for k in range(self._domain_dim(degree))]
-            f, g = self.pair_from_coefficients(x, degree)
-            at = lambda deg: [t for t, _ in _transversal(self.n, deg)]
-            image = self.pair_flatten(
-                self.delta(f, degree, at(degree + 2)),
-                self.d_second(f, g, degree, at(degree)), degree + 2)
-            self._rows[degree] = [{k: c for (k,), c in entry.items()}
-                                  if entry else {} for entry in image]
+            n, m = self.n, self.m
+            f = _coordinates(n, m, degree)
+            g = (_coordinates(n, m, degree - 2, cochain_space_dim(n, m, degree))
+                 if degree > 1 else {})
+            new = lambda: [{} for _ in range(m)]
+            rows = []
+            for t, sign in _transversal(n, degree + 2):
+                rows += _accumulate(new(), f, coboundary_terms(
+                    t, degree, self.theta, self.D, self._delta_brackets), sign)
+            for s in range(degree - 1):
+                f = {t: r for t in itertools.product(range(n), repeat=degree)
+                     for r in [_accumulate(new(), f, self._phi_step(t, s), 1)]
+                     if any(r)}
+            k = (-1) ** ((degree + 1) // 2)
+            for t, sign in _transversal(n, degree):
+                r = _accumulate(new(), f, self._phi_step(t, degree - 1),
+                                k * sign)
+                if g:
+                    _accumulate(r, g, coboundary_terms(
+                        t, degree - 2, self.thetaN, self.DN,
+                        self._partial_brackets), sign)
+                rows += r
+            self._rows[degree] = rows
         return self._rows[degree]
 
     def d_rank(self, degree):

@@ -27,15 +27,29 @@ class InputError(ValueError):
 _ABSENT = object()
 
 
+def _unique_keys(pairs):
+    """A JSON object; a repeated key is refused (json.load keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k in obj if sum(q == k for q, _ in pairs) > 1)
+        raise InputError("repeated key %s" % json.dumps(key))
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return _DECODER.decode(fh.read())
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise InputError("malformed JSON in %s: line %d column %d: %s"
                          % (path, exc.lineno, exc.colno, exc.msg)) from exc
+    except InputError as exc:
+        raise InputError("%s in %s" % (exc, path)) from exc
 
 
 def dumps(obj):

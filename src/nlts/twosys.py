@@ -58,7 +58,6 @@ from .lts import (
     apply_in_slot,
     check_lts,
     check_representation,
-    insert_in_slot,
     slot_matrices,
     symmetry_defects,
 )
@@ -219,10 +218,9 @@ def check_2system(sys2):
 
     # L11: l5 is a cocycle of Yamaguti's coboundary for the first-slot
     # action, the third-slot family and the base bracket
-    ins = lambda f, args, pos, key: insert_in_slot(f, args, pos,
-                                                   s.l3_000[key], n1)
-    dl5 = yamaguti_coboundary(s.l5, 5, n0, n1, s.slot_action(0),
-                              s.slot_action(2), ins)
+    dl5 = yamaguti_coboundary(
+        s.l5, 5, n0, n1, s.slot_action(0), s.slot_action(2),
+        {k: ((1, None, v),) for k, v in s.l3_000.items()})
     for t, w in dl5.items():
         if not viszero(w):
             bad("L11", t, w)

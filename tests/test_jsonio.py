@@ -232,6 +232,21 @@ def test_load_json_errors(tmp_path):
     assert system_from_obj(load_json(str(good))).dim == 2
 
 
+def test_load_json_refuses_repeated_keys(tmp_path):
+    """json.load keeps the last of repeated keys; load_json names the key
+    and the file, at any depth, and keeps equal keys in sibling objects."""
+    twice = tmp_path / "twice.json"
+    for text, key in (('{"dim": 2, "dim": 1, "bracket": []}', '"dim"'),
+                      ('{"dim": 2, "bracket": [{"i": 0, "j": 1, "k": 1,'
+                       ' "out": {"0": "1", "0": "2"}}]}', '"0"')):
+        twice.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError,
+                           match="repeated key %s in .*twice.json" % key):
+            load_json(str(twice))
+    twice.write_text('[{"a": 1}, {"a": 2}]', encoding="utf-8")
+    assert load_json(str(twice)) == [{"a": 1}, {"a": 2}]
+
+
 def test_system_rejects_bad_payloads():
     with pytest.raises(InputError):
         system_from_obj([])
