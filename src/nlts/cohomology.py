@@ -251,7 +251,7 @@ def _accumulate(rows, index, terms, sign):
         for x, key in sources:
             for b, col in enumerate(index.get(key, ())):
                 for a, y in (((b, x),) if M is None else
-                             ((a, x * M[a][b]) for a in range(m) if M[a][b])):
+                             [(a, x * M[a][b]) for a in range(m) if M[a][b]]):
                     row = rows[a]
                     for k, z in col.items():
                         v = row.get(k, 0) + y * z
@@ -385,10 +385,16 @@ class Complex:
 
     def from_coefficients(self, coeffs, degree):
         """Linear combination of the cochain basis."""
-        index, zero = _coordinates(self.n, self.m, degree), vzero(self.m)
-        return {t: tuple(sum(coeffs[k] * c for k, c in row.items() if coeffs[k])
-                         for row in index[t]) if t in index else zero
-                for t in itertools.product(range(self.n), repeat=degree)}
+        m = self.m
+        f = {t: list(v) for t, v in zero_cochain(self.n, m, degree).items()}
+        slots = ((prefix, tail, a)
+                 for prefix, tail, _ in _basis_tensors(self.n, degree)
+                 for a in range(m))
+        for c, (prefix, tail, a) in zip(coeffs, slots):
+            if c:
+                for t, coef in tail.items():
+                    f[prefix + t][a] += c * coef
+        return {t: tuple(v) for t, v in f.items()}
 
     def _domain_dim(self, degree):
         """Dimension of C^degree + C^(degree-2), the domain of d."""
