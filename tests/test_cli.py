@@ -435,6 +435,17 @@ def golden_payloads(root):
     badxmod = json.loads((root / "xmodL2.json").read_text())
     badxmod["h"][1][0] = "1"
     (root / "badxmod.json").write_text(json.dumps(badxmod))
+    # a crossed module that fails all nine conditions: l2 plus
+    # [e0,e0,e0] = e1 as base, [a0,a0,a0] = a0 as fiber, h = I
+    failxmod = json.loads((root / "xmodL2.json").read_text())
+    failxmod["bracket0"].append({"args": [0, 0, 0], "out": {"1": "1"}})
+    failxmod["bracket1"] = [{"args": [0, 0, 0], "out": {"0": "1"}}]
+    failxmod["N0"] = [["1", "1"], ["0", "1"]]
+    failxmod["N1"] = [["0", "1"], ["1", "0"]]
+    zero = [["0", "0"], ["0", "0"]]
+    failxmod["lambda"] = [[zero, [["1", "0"], ["0", "1"]]],
+                          [zero, [["0", "1"], ["0", "0"]]]]
+    (root / "failxmod.json").write_text(json.dumps(failxmod))
     # inputs that break antisymmetry and the cyclic sum: a bracket, a
     # degree-3 cochain, the base bracket of a 2-system and its N2
     (root / "asym.json").write_text(json.dumps(
@@ -553,6 +564,7 @@ def golden_commands():
         ["cocycle-check", L2, N01f, ADJ, C("unconstrained.json")],
         ["check-2sys", C("l3asym2sys.json")],
         ["check-n2sys", C("n2cyclic.json")],
+        ["check-rb", L2, C("idN.json")], ["check-xmod", C("failxmod.json")],
     ]
     cohomology = [["cohomology", *ctx, "--degree", str(degree)]
                   for ctx in ((L2, N01f, ADJ), (S3, S3N, S3ADJ))
