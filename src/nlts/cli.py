@@ -91,6 +91,14 @@ def _load_rep(path, base):
     return jsonio.rep_from_obj(load_json(path), base, path)
 
 
+def _refusing(call, *args):
+    """call(*args), reporting a ValueError it raises as unusable input."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _weight(args, file_weight):
     if args.weight is not None:
         try:
@@ -116,18 +124,12 @@ def cmd_check_nijenhuis(args):
     return _print_report(is_nijenhuis(system, N), args)
 
 
-def cmd_check_rb(args):
-    from .operators import is_rota_baxter
+def cmd_check_rb_family(args):
+    from .operators import check_rb_family
     system = _load_system(args.system)
     R, w = _load_operator(args.operator, system.dim)
-    return _print_report(is_rota_baxter(system, R, _weight(args, w)), args)
-
-
-def cmd_check_mrb(args):
-    from .operators import is_modified_rb
-    system = _load_system(args.system)
-    R, w = _load_operator(args.operator, system.dim)
-    return _print_report(is_modified_rb(system, R, _weight(args, w)), args)
+    return _print_report(check_rb_family(system, R, args.identity,
+                                         _weight(args, w)), args)
 
 
 def cmd_induced_bracket(args):
@@ -148,16 +150,13 @@ def cmd_induced_bracket(args):
 
 
 def cmd_search(args):
-    from .operators import BudgetExceeded, grid_search_nijenhuis
+    from .operators import grid_search_nijenhuis
     system = _load_system(args.system)
     try:
         values = [parse_rational(v) for v in args.grid.split(",") if v != ""]
     except ValueError as exc:
         raise InputError("bad --grid value: %s" % exc) from exc
-    try:
-        found = grid_search_nijenhuis(system, values, args.budget)
-    except BudgetExceeded as exc:
-        raise InputError(str(exc)) from exc
+    found = _refusing(grid_search_nijenhuis, system, values, args.budget)
     if args.json:
         payload = {"count": len(found),
                    "matrices": [jsonable(N) for N in found]}
@@ -266,10 +265,7 @@ def cmd_equivalent(args):
     from .extensions import extensions_equivalent
     ext1 = jsonio.extension_from_obj(load_json(args.extension1), args.extension1)
     ext2 = jsonio.extension_from_obj(load_json(args.extension2), args.extension2)
-    try:
-        report = extensions_equivalent(ext1, ext2)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    report = _refusing(extensions_equivalent, ext1, ext2)
     payload = {"equivalent": report.data.get("equivalent", False),
                "gamma": report.data.get("gamma")}
     if report.data.get("equivalent"):
@@ -316,10 +312,7 @@ def cmd_check_n2sys(args):
 def cmd_skeletal_to_cocycle(args):
     from .twosys import skeletal_to_cocycle
     sys2, nstr = _load_twosys(args.file, True)
-    try:
-        cx, f, g = skeletal_to_cocycle(sys2, nstr)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    cx, f, g = _refusing(skeletal_to_cocycle, sys2, nstr)
     _emit_obj(jsonio.bundle_to_obj(cx, f, g))
     return 0
 
@@ -341,10 +334,7 @@ def cmd_check_xmod(args):
 def cmd_to_xmod(args):
     from .twosys import strict_to_crossed_module
     sys2, nstr = _load_twosys(args.file, True)
-    try:
-        xm = strict_to_crossed_module(sys2, nstr)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    xm = _refusing(strict_to_crossed_module, sys2, nstr)
     _emit_obj(jsonio.xmod_to_obj(xm))
     return 0
 
@@ -511,10 +501,12 @@ def build_parser():
         help="verify the triple-system axioms")
     add("check-nijenhuis", cmd_check_nijenhuis, sys_arg, op_arg,
         help="verify the Nijenhuis identity")
-    add("check-rb", cmd_check_rb, sys_arg, op_arg, weight_opt,
-        help="verify the Rota-Baxter identity of a weight")
-    add("check-mrb", cmd_check_mrb, sys_arg, op_arg, weight_opt,
-        help="verify the modified Rota-Baxter identity of a weight")
+    add("check-rb", cmd_check_rb_family, sys_arg, op_arg, weight_opt,
+        help="verify the Rota-Baxter identity of a weight"
+        ).set_defaults(identity="rota-baxter")
+    add("check-mrb", cmd_check_rb_family, sys_arg, op_arg, weight_opt,
+        help="verify the modified Rota-Baxter identity of a weight"
+        ).set_defaults(identity="modified-rota-baxter")
     add("induced-bracket", cmd_induced_bracket, sys_arg, op_arg,
         help="emit the deformed bracket of an operator")
     add("search", cmd_search, sys_arg,

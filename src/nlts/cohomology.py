@@ -386,6 +386,10 @@ class Complex:
     def from_coefficients(self, coeffs, degree):
         """Linear combination of the cochain basis."""
         m = self.m
+        dim = cochain_space_dim(self.n, m, degree)
+        if len(coeffs) != dim:
+            raise ValueError("a degree-%d cochain has %d coefficients, got %d"
+                             % (degree, dim, len(coeffs)))
         f = {t: list(v) for t, v in zero_cochain(self.n, m, degree).items()}
         slots = ((prefix, tail, a)
                  for prefix, tail, _ in _basis_tensors(self.n, degree)
@@ -449,6 +453,9 @@ class Complex:
         """Split a domain coefficient vector into the (f, g) pair."""
         if degree == 1:
             return self.from_coefficients(coeffs, 1), None
+        if len(coeffs) != self._domain_dim(degree):
+            raise ValueError("a degree-%d pair has %d coefficients, got %d"
+                             % (degree, self._domain_dim(degree), len(coeffs)))
         split = cochain_space_dim(self.n, self.m, degree)
         f = self.from_coefficients(coeffs[:split], degree)
         g = self.from_coefficients(coeffs[split:], degree - 2)

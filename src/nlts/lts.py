@@ -60,6 +60,8 @@ class Report:
 
 
 def _freeze_table(dim, table, arity):
+    if dim < 0:
+        raise ValueError("dimension must be nonnegative")
     frozen = {}
     for key, value in table.items():
         key = tuple(int(i) for i in key)
@@ -79,8 +81,6 @@ class LieTripleSystem:
 
     def __init__(self, dim, table=None):
         self.dim = int(dim)
-        if self.dim < 0:
-            raise ValueError("dimension must be nonnegative")
         self.table = _freeze_table(self.dim, table or {}, 3)
 
     def coeff(self, i, j, k):

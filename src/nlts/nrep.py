@@ -27,8 +27,8 @@ find out.
 """
 
 from .linalg import as_matrix, matadd, mat_iszero, matmul, matsub
-from .lts import Report, Representation, apply_in_slot, slot_matrices
-from .operators import induced_bracket
+from .lts import Representation, apply_in_slot, slot_matrices
+from .operators import identity_report, induced_bracket
 
 
 def _deformed_parts(rep, N, Nv):
@@ -65,11 +65,9 @@ def check_nijenhuis_rep(rep, N, Nv):
     """Verify the compatibility identity on all basis pairs of the base."""
     n, m = rep.base.dim, rep.vdim
     N, Nv = as_matrix(N, n, n, "operator"), as_matrix(Nv, m, m, "fiber operator")
-    violations = [{"identity": "nijenhuis-representation", "at": key,
-                   "lhs": lhs, "rhs": rhs}
-                  for key, (lhs, rhs) in compatibility_sides(rep, N, Nv).items()
-                  if lhs != rhs]
-    return Report(not violations, violations)
+    return identity_report("nijenhuis-representation", (
+        (key, lhs, rhs)
+        for key, (lhs, rhs) in compatibility_sides(rep, N, Nv).items()))
 
 
 def deformed_theta(rep, N, Nv):

@@ -72,33 +72,21 @@ def telescoped_brackets(system, N):
     return out
 
 
-def _graded_witnesses(system, R, rhs_of):
-    """Basis triples where [Rx,Ry,Rz] differs from rhs_of(A2, A1, A0).
-
-    ``rhs_of`` must vanish on zero vectors, so triples where every A_d is
-    zero are skipped.
-    """
-    n = system.dim
-    A0, A1, A2, A3 = graded_brackets(system, R)
-    zero = vzero(n)
-    out = []
-    for t in sorted(A0.keys() | A1.keys() | A2.keys() | A3.keys()):
-        lhs = A3.get(t, zero)
-        rhs = rhs_of(A2.get(t, zero), A1.get(t, zero), A0.get(t, zero))
-        if lhs != rhs:
-            out.append((t, lhs, rhs))
-    return out
+def identity_report(identity, sides, **fields):
+    """The report of an identity whose two sides at each point are given
+    as (at, lhs, rhs): every point where they differ is a violation with
+    the keys identity, the given fields, at, lhs and rhs, in that order."""
+    violations = [{"identity": identity, **fields, "at": at,
+                   "lhs": lhs, "rhs": rhs}
+                  for at, lhs, rhs in sides if lhs != rhs]
+    return Report(not violations, violations)
 
 
 def _defect_witnesses(N, parts):
     """(t, [Nx,Ny,Nz], N[x,y,z]_N) at each basis triple t of a
     ``telescoped_brackets`` result where the two sides differ."""
-    out = []
-    for t, (lhs, _, _, p2) in parts.items():
-        rhs = matvec(N, p2)
-        if lhs != rhs:
-            out.append((t, lhs, rhs))
-    return out
+    return [(t, lhs, rhs) for t, (lhs, _, _, p2) in parts.items()
+            if lhs != (rhs := matvec(N, p2))]
 
 
 def nijenhuis_defect(system, N):
@@ -107,44 +95,44 @@ def nijenhuis_defect(system, N):
     return _defect_witnesses(N, telescoped_brackets(system, N))
 
 
-def _nijenhuis_report(witnesses):
-    violations = [{"identity": "nijenhuis", "at": t, "lhs": lhs, "rhs": rhs}
-                  for t, lhs, rhs in witnesses]
-    return Report(not violations, violations)
-
-
 def is_nijenhuis(system, N):
     """Report whether N satisfies the Nijenhuis identity; witnesses show both sides."""
-    return _nijenhuis_report(nijenhuis_defect(system, N))
+    return identity_report("nijenhuis", nijenhuis_defect(system, N))
+
+
+# the right side of each Rota-Baxter family identity of weight w at a basis
+# triple, from R and the graded brackets A2, A1, A0 there (zero if they are)
+_RB_RHS = {
+    "rota-baxter": lambda R, w, a2, a1, a0:
+        matvec(R, vadd(vadd(a2, vscale(w, a1)), vscale(w * w, a0))),
+    "modified-rota-baxter": lambda R, w, a2, a1, a0:
+        vadd(matvec(R, vsub(a2, vscale(w, a0))), vscale(w, a1)),
+}
+
+
+def check_rb_family(system, R, identity, weight):
+    """The named Rota-Baxter family identity of the given weight on basis
+    triples: [Rx,Ry,Rz] = A3 of ``graded_brackets`` against the right
+    side in ``_RB_RHS``, skipping triples where every A_d is zero."""
+    R = as_matrix(R, system.dim, system.dim, "operator")
+    rhs = _RB_RHS[identity]
+    A0, A1, A2, A3 = graded_brackets(system, R)
+    zero = vzero(system.dim)
+    return identity_report(identity, (
+        (t, A3.get(t, zero), rhs(R, weight, A2.get(t, zero),
+                                 A1.get(t, zero), A0.get(t, zero)))
+        for t in sorted(A0.keys() | A1.keys() | A2.keys() | A3.keys())),
+        weight=weight)
 
 
 def is_rota_baxter(system, R, weight=0):
     """Rota-Baxter identity of the given weight, checked on basis triples."""
-    R = as_matrix(R, system.dim, system.dim, "operator")
-    lam = weight
-
-    def rhs(a2, a1, a0):
-        s = vadd(vadd(a2, vscale(lam, a1)), vscale(lam * lam, a0))
-        return matvec(R, s)
-
-    violations = [{"identity": "rota-baxter", "weight": lam,
-                   "at": t, "lhs": lhs, "rhs": r}
-                  for t, lhs, r in _graded_witnesses(system, R, rhs)]
-    return Report(not violations, violations)
+    return check_rb_family(system, R, "rota-baxter", weight)
 
 
 def is_modified_rb(system, R, weight=0):
     """Modified Rota-Baxter identity of the given weight on basis triples."""
-    R = as_matrix(R, system.dim, system.dim, "operator")
-    lam = weight
-
-    def rhs(a2, a1, a0):
-        return vadd(matvec(R, vsub(a2, vscale(lam, a0))), vscale(lam, a1))
-
-    violations = [{"identity": "modified-rota-baxter", "weight": lam,
-                   "at": t, "lhs": lhs, "rhs": r}
-                  for t, lhs, r in _graded_witnesses(system, R, rhs)]
-    return Report(not violations, violations)
+    return check_rb_family(system, R, "modified-rota-baxter", weight)
 
 
 def rb_to_modified(R, weight):
@@ -172,7 +160,7 @@ def induced_bracket(system, N):
     parts = telescoped_brackets(system, N)
     deformed = LieTripleSystem(system.dim,
                                {t: p2 for t, (_, _, _, p2) in parts.items()})
-    nij = _nijenhuis_report(_defect_witnesses(N, parts))
+    nij = identity_report("nijenhuis", _defect_witnesses(N, parts))
     axioms = check_lts(deformed)
     warnings = []
     if not nij:
@@ -191,14 +179,9 @@ def is_morphism(source, target, N):
     N = as_matrix(N, n, n, "operator")
     image = graded_brackets(target, N)[3]
     zero = vzero(target.dim)
-    violations = []
-    for t in itertools.product(range(n), repeat=3):
-        lhs = matvec(N, source.coeff(*t))
-        rhs = image.get(t, zero)
-        if lhs != rhs:
-            violations.append({"identity": "morphism", "at": t,
-                               "lhs": lhs, "rhs": rhs})
-    return Report(not violations, violations)
+    return identity_report("morphism", (
+        (t, matvec(N, source.coeff(*t)), image.get(t, zero))
+        for t in itertools.product(range(n), repeat=3)))
 
 
 # the identity, and its weight, that the Nijenhuis identity is equivalent
@@ -244,8 +227,7 @@ def classify_by_square(system, N):
     data = {"shape": shape, "nijenhuis_ok": nij.ok}
     if shape in _RELATED:
         identity, weight = _RELATED[shape]
-        check = is_rota_baxter if identity == "rota-baxter" else is_modified_rb
-        other = check(system, N, weight)
+        other = check_rb_family(system, N, identity, weight)
         data["related"] = {"identity": identity, "weight": weight,
                            "ok": other.ok}
         data["equivalence_holds"] = nij.ok == other.ok

@@ -356,21 +356,14 @@ def check_crossed_module(xm):
     first-slot table with h in its two base slots.
     """
     v = []
-    base_ok = check_lts(xm.base)
-    for item in base_ok.violations:
-        v.append(dict(item, condition="base-axioms"))
-    nij = is_nijenhuis(xm.base, xm.N0)
-    for item in nij.violations:
-        v.append(dict(item, condition="base-operator"))
-    fiber_ok = check_lts(xm.fiber)
-    for item in fiber_ok.violations:
-        v.append(dict(item, condition="fiber-axioms"))
-    rep_ok = check_representation(xm.action)
-    for item in rep_ok.violations:
-        v.append(dict(item, condition="action-representation"))
-    nrep_ok = check_nijenhuis_rep(xm.action, xm.N0, xm.N1)
-    for item in nrep_ok.violations:
-        v.append(dict(item, condition="action-operator"))
+    bad = _recorder(v)
+    for condition, report in (
+            ("base-axioms", check_lts(xm.base)),
+            ("base-operator", is_nijenhuis(xm.base, xm.N0)),
+            ("fiber-axioms", check_lts(xm.fiber)),
+            ("action-representation", check_representation(xm.action)),
+            ("action-operator", check_nijenhuis_rep(xm.action, xm.N0, xm.N1))):
+        v += [dict(item, condition=condition) for item in report.violations]
 
     n0, n1 = xm.n0, xm.n1
     h = xm.h
@@ -386,8 +379,7 @@ def check_crossed_module(xm):
         lhs = matvec(h, xm.fiber.coeff(*t))
         rhs = h_all.get(t, zero0)
         if lhs != rhs:
-            v.append({"condition": "h-homomorphism", "at": t,
-                      "lhs": lhs, "rhs": rhs})
+            bad("h-homomorphism", t, lhs, rhs)
 
     # h carries the action to the base bracket
     first = xm.action.slot_tensors()[0]
@@ -396,8 +388,7 @@ def check_crossed_module(xm):
             lhs = matvec(h, first[(a, i, j)])
             rhs = h_first.get((a, i, j), zero0)
             if lhs != rhs:
-                v.append({"condition": "h-equivariance", "at": (i, j, a),
-                          "lhs": lhs, "rhs": rhs})
+                bad("h-equivariance", (i, j, a), lhs, rhs)
 
     # the action on h-images recovers the fiber bracket
     act = apply_in_slot(apply_in_slot(first, h, 1), h, 2)
@@ -406,8 +397,7 @@ def check_crossed_module(xm):
         lhs = act.get((c, a, b), zero1)
         rhs = xm.fiber.coeff(c, a, b)
         if lhs != rhs:
-            v.append({"condition": "peiffer", "at": (a, b, c),
-                      "lhs": lhs, "rhs": rhs})
+            bad("peiffer", (a, b, c), lhs, rhs)
     return Report(not v, v)
 
 

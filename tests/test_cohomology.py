@@ -193,6 +193,24 @@ def test_flatten_round_trip(cx_l2_adj):
         assert back == f
 
 
+def test_coefficient_vectors_of_the_wrong_length_are_refused(cx_l2_adj):
+    """l2 adjoint has 4 coordinates in degree 1 and 8 on degree-3 pairs;
+    a longer vector was cut and a shorter one zero-padded."""
+    cx = cx_l2_adj
+    for coeffs in ([1, 2, 3, 4, 5], [1]):
+        with pytest.raises(ValueError, match="has 4 coefficients, got %d"
+                           % len(coeffs)):
+            cx.from_coefficients(coeffs, 1)
+    for coeffs in ([1, 2], list(range(9))):
+        with pytest.raises(ValueError, match="degree-3 pair has 8 "
+                           "coefficients, got %d" % len(coeffs)):
+            cx.pair_from_coefficients(coeffs, 3)
+    with pytest.raises(ValueError, match="has 4 coefficients, got 5"):
+        cx.pair_from_coefficients([0] * 5, 1)
+    assert cx.pair_from_coefficients([0] * 8, 3) == (
+        zero_cochain(2, 2, 3), zero_cochain(2, 2, 1))
+
+
 # ---------------------------------------------------------------------------
 # differentials against the reference implementations
 

@@ -114,6 +114,13 @@ def test_lie_algebra_checks():
     assert not check_lie_algebra(bad).ok
 
 
+def test_negative_dimensions_are_refused():
+    from nlts.lts import LieAlgebra
+    for make, dim in ((LieAlgebra, -2), (LieTripleSystem, -1)):
+        with pytest.raises(ValueError, match="dimension must be nonnegative"):
+            make(dim)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("entries", sorted(ref.ENTRY_SETS))
 @pytest.mark.parametrize("dense", [False, True])

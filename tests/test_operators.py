@@ -155,6 +155,25 @@ def test_mrb_examples():
     assert not is_modified_rb(l2(), N01, -1).ok
 
 
+def test_identity_violations_keep_their_key_order():
+    from nlts import adjoint_rep, check_nijenhuis_rep
+    from nlts.operators import check_rb_family
+    weighted = [is_rota_baxter(l2(), ident(2), 0),
+                is_modified_rb(l2(), N01, -1)]
+    plain = [is_nijenhuis(direct_sum(l2(), l2()), BAD_PAIR_N),
+             is_morphism(lts_from_lie_algebra(sl2_lie()), abelian(3), ident(3)),
+             check_nijenhuis_rep(adjoint_rep(l2()), ident(2), N01)]
+    for reports, keys in ((weighted, ["identity", "weight", "at", "lhs", "rhs"]),
+                          (plain, ["identity", "at", "lhs", "rhs"])):
+        for report in reports:
+            assert not report.ok
+            assert all(list(v) == keys for v in report.violations)
+    assert [v["identity"] for v in weighted[1].violations][:1] == \
+        ["modified-rota-baxter"]
+    with pytest.raises(KeyError):
+        check_rb_family(l2(), ident(2), "nijenhuis", 0)
+
+
 def test_rb_to_modified():
     R, lam = ((0, 1), (0, 0)), 0
     M, mu = rb_to_modified(R, lam)
