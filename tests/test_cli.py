@@ -472,6 +472,11 @@ def golden_payloads(root):
     (root / "twicematrix.json").write_text(
         '{"dim": 2, "matrix": [["0", "1"], ["0", "0"]],'
         ' "matrix": [["1", "0"], ["0", "1"]]}')
+    # a skeletal structure over a 0-dimensional base and its bundle
+    (root / "zero2sys.json").write_text(json.dumps(
+        {"dim0": 0, "dim1": 1, "N0": [], "N1": [["1"]], "N2": []}))
+    (root / "zerobundle.json").write_text(call(
+        ["skeletal-to-cocycle", str(root / "zero2sys.json")])[1])
 
 
 def schema_payloads(root):
@@ -612,11 +617,13 @@ def golden_commands():
         ["check-lts", C("twicedim.json")],
         ["check-nijenhuis", L2, C("twicematrix.json")],
     ]
+    zero_base = [["skeletal-to-cocycle", C("zero2sys.json")],
+                 ["cocycle-to-skeletal", C("zerobundle.json")]]
     return ([mode + argv for mode in ([], ["--json"], ["--witness"])
              for argv in verify]
             + [mode + argv for mode in ([], ["--json"]) for argv in cohomology]
             + [["--json"] + argv for argv in emit]
-            + hostile + helps + schema)
+            + hostile + helps + schema + zero_base)
 
 
 def golden_records(root):
