@@ -79,16 +79,20 @@ def _emit_obj(obj):
     sys.stdout.write(dumps(obj))
 
 
-def _load_system(path):
-    return jsonio.system_from_obj(load_json(path), path)
+def _read(reader, path, *given):
+    """The payload in the file at path, read by a jsonio reader."""
+    return reader(load_json(path), *given, path)
 
 
-def _load_operator(path, dim):
-    return jsonio.operator_from_obj(load_json(path), dim, path)
-
-
-def _load_rep(path, base):
-    return jsonio.rep_from_obj(load_json(path), base, path)
+def _inputs(args):
+    """(system, N, weight, rep, Nv) from the command's system, operator and
+    representation files, read in that order; a file it lacks gives None."""
+    system = _read(jsonio.system_from_obj, args.system)
+    N, weight = (_read(jsonio.operator_from_obj, args.operator, system.dim)
+                 if "operator" in args else (None, None))
+    rep, Nv = (_read(jsonio.rep_from_obj, args.representation, system)
+               if "representation" in args else (None, None))
+    return system, N, weight, rep, Nv
 
 
 def _refusing(call, *args):
@@ -100,42 +104,37 @@ def _refusing(call, *args):
 
 
 def _weight(args, file_weight):
-    if args.weight is not None:
-        try:
-            return parse_rational(args.weight)
-        except ValueError as exc:
-            raise InputError("bad --weight value: %s" % exc) from exc
-    if file_weight is not None:
-        return file_weight
-    return 0
+    if args.weight is None:
+        return 0 if file_weight is None else file_weight
+    try:
+        return parse_rational(args.weight)
+    except ValueError as exc:
+        raise InputError("bad --weight value: %s" % exc) from exc
 
 
 # ---------------------------------------------------------------------------
 # structure commands
 
 def cmd_check_lts(args):
-    return _print_report(check_lts(_load_system(args.system)), args)
+    return _print_report(check_lts(_inputs(args)[0]), args)
 
 
 def cmd_check_nijenhuis(args):
     from .operators import is_nijenhuis
-    system = _load_system(args.system)
-    N, _ = _load_operator(args.operator, system.dim)
+    system, N, *_ = _inputs(args)
     return _print_report(is_nijenhuis(system, N), args)
 
 
 def cmd_check_rb_family(args):
     from .operators import check_rb_family
-    system = _load_system(args.system)
-    R, w = _load_operator(args.operator, system.dim)
+    system, R, w, *_ = _inputs(args)
     return _print_report(check_rb_family(system, R, args.identity,
                                          _weight(args, w)), args)
 
 
 def cmd_induced_bracket(args):
     from .operators import induced_bracket
-    system = _load_system(args.system)
-    N, _ = _load_operator(args.operator, system.dim)
+    system, N, *_ = _inputs(args)
     deformed, report = induced_bracket(system, N)
     obj = jsonio.system_to_obj(deformed)
     if args.json:
@@ -151,7 +150,7 @@ def cmd_induced_bracket(args):
 
 def cmd_search(args):
     from .operators import grid_search_nijenhuis
-    system = _load_system(args.system)
+    system = _inputs(args)[0]
     try:
         values = [parse_rational(v) for v in args.grid.split(",") if v != ""]
     except ValueError as exc:
@@ -170,26 +169,19 @@ def cmd_search(args):
 
 
 def cmd_check_rep(args):
-    system = _load_system(args.system)
-    rep, _ = _load_rep(args.representation, system)
-    return _print_report(check_representation(rep), args)
+    return _print_report(check_representation(_inputs(args)[3]), args)
 
 
 def cmd_check_nrep(args):
     from .nrep import check_nijenhuis_rep
-    system = _load_system(args.system)
-    N, _ = _load_operator(args.operator, system.dim)
-    rep, Nv = _load_rep(args.representation, system)
+    _, N, _, rep, Nv = _inputs(args)
     return _print_report(check_nijenhuis_rep(rep, N, Nv), args)
 
 
 def cmd_induce_rep(args):
     from .nrep import induce_rep
-    system = _load_system(args.system)
-    N, _ = _load_operator(args.operator, system.dim)
-    rep, Nv = _load_rep(args.representation, system)
-    induced = induce_rep(rep, N, Nv)
-    _emit_obj(jsonio.rep_to_obj(induced, Nv))
+    _, N, _, rep, Nv = _inputs(args)
+    _emit_obj(jsonio.rep_to_obj(induce_rep(rep, N, Nv), Nv))
     return 0
 
 
@@ -198,9 +190,7 @@ def cmd_induce_rep(args):
 
 def _load_complex(args):
     from .cohomology import Complex
-    system = _load_system(args.system)
-    N, _ = _load_operator(args.operator, system.dim)
-    rep, Nv = _load_rep(args.representation, system)
+    system, N, _, rep, Nv = _inputs(args)
     return Complex(system, rep, N, Nv)
 
 
@@ -218,8 +208,8 @@ def cmd_cohomology(args):
 
 def cmd_cocycle_check(args):
     cx = _load_complex(args)
-    f, g, degree = jsonio.pair_from_obj(load_json(args.pair), cx.n, cx.m,
-                                        args.degree, args.pair)
+    f, g, degree = _read(jsonio.pair_from_obj, args.pair, cx.n, cx.m,
+                         args.degree)
     return _print_report(cx.is_cocycle(f, g, degree), args)
 
 
@@ -230,8 +220,7 @@ def cmd_extend(args):
     from .cohomology import zero_cochain
     from .extensions import build_extension, cochain_to_chi
     cx = _load_complex(args)
-    f, g, _ = jsonio.pair_from_obj(load_json(args.pair), cx.n, cx.m, 3,
-                                   args.pair)
+    f, g, _ = _read(jsonio.pair_from_obj, args.pair, cx.n, cx.m, 3)
     if g is None:
         g = zero_cochain(cx.n, cx.m, 1)
     ext, report = build_extension(cx, f, cochain_to_chi(g, cx.n, cx.m))
@@ -252,25 +241,17 @@ def cmd_extend(args):
 
 def cmd_extract(args):
     from .extensions import chi_to_cochain, extract_cocycle
-    ext = jsonio.extension_from_obj(load_json(args.extension), args.extension)
+    ext = _read(jsonio.extension_from_obj, args.extension)
     psi, chi = extract_cocycle(ext)
-    payload = {"degree": 3,
-               "f": jsonio.cochain_to_obj(psi, 3),
-               "g": jsonio.cochain_to_obj(chi_to_cochain(chi, ext.n, ext.m), 1)}
-    _emit_obj(payload)
+    _emit_obj(jsonio.pair_to_obj(psi, chi_to_cochain(chi, ext.n, ext.m), 3))
     return 0
 
 
 def cmd_equivalent(args):
     from .extensions import extensions_equivalent
-    ext1 = jsonio.extension_from_obj(load_json(args.extension1), args.extension1)
-    ext2 = jsonio.extension_from_obj(load_json(args.extension2), args.extension2)
-    report = _refusing(extensions_equivalent, ext1, ext2)
-    payload = {"equivalent": report.data.get("equivalent", False),
-               "gamma": report.data.get("gamma")}
-    if report.data.get("equivalent"):
-        payload["isomorphism_verified"] = report.data.get(
-            "isomorphism_verified", False)
+    ext1, ext2 = (_read(jsonio.extension_from_obj, p)
+                  for p in (args.extension1, args.extension2))
+    payload = _refusing(extensions_equivalent, ext1, ext2).data
     if args.json:
         sys.stdout.write(dumps(jsonable(payload)))
     else:
@@ -284,7 +265,7 @@ def cmd_equivalent(args):
 # 2-system and crossed-module commands
 
 def _load_twosys(path, need_structure):
-    sys2, nstr = jsonio.twosys_from_obj(load_json(path), path)
+    sys2, nstr = _read(jsonio.twosys_from_obj, path)
     if need_structure and nstr is None:
         raise InputError("%s carries no Nijenhuis structure (N0, N1, N2)"
                          % path)
@@ -319,7 +300,7 @@ def cmd_skeletal_to_cocycle(args):
 
 def cmd_cocycle_to_skeletal(args):
     from .twosys import cocycle_to_skeletal
-    cx, f, g = jsonio.bundle_from_obj(load_json(args.file), args.file)
+    cx, f, g = _read(jsonio.bundle_from_obj, args.file)
     sys2, nstr = cocycle_to_skeletal(cx, f, g)
     _emit_obj(jsonio.twosys_to_obj(sys2, nstr))
     return 0
@@ -327,7 +308,7 @@ def cmd_cocycle_to_skeletal(args):
 
 def cmd_check_xmod(args):
     from .twosys import check_crossed_module
-    xm = jsonio.xmod_from_obj(load_json(args.file), args.file)
+    xm = _read(jsonio.xmod_from_obj, args.file)
     return _print_report(check_crossed_module(xm), args)
 
 
@@ -341,7 +322,7 @@ def cmd_to_xmod(args):
 
 def cmd_from_xmod(args):
     from .twosys import crossed_module_to_strict
-    xm = jsonio.xmod_from_obj(load_json(args.file), args.file)
+    xm = _read(jsonio.xmod_from_obj, args.file)
     sys2, nstr = crossed_module_to_strict(xm)
     _emit_obj(jsonio.twosys_to_obj(sys2, nstr))
     return 0
@@ -356,10 +337,11 @@ L2PAIR_BAD_N = ((-3, -2, 0, 2), (-3, 3, 0, 3), (-3, -1, -2, 3), (2, -2, 3, -2))
 
 
 def emit_corpus(target):
-    """Write the validated example payloads into a directory.
+    """Write the example payloads into a directory.
 
-    Returns the sorted list of file names written.  Every structure is
-    checked against its own validator before writing.
+    Returns the sorted list of file names written.  Each file is listed
+    with its payload and the checks it must pass, and nothing is written
+    unless every check passes.
     """
     from .operators import is_nijenhuis
     from .nrep import check_nijenhuis_rep
@@ -367,8 +349,6 @@ def emit_corpus(target):
     from .twosys import (CrossedModule, check_2system, check_crossed_module,
                          check_nijenhuis_2system, cocycle_to_skeletal,
                          strict_to_crossed_module)
-    os.makedirs(target, exist_ok=True)
-    files = {}
 
     sys_l2 = l2()
     sys_ab1, sys_ab2, sys_ab3 = abelian(1), abelian(2), abelian(3)
@@ -385,10 +365,8 @@ def emit_corpus(target):
         "solv3lts.json": sys_solv3,
         "l2pair.json": sys_pair,
     }
-    for name, system in systems.items():
-        if not check_lts(system):
-            raise RuntimeError("corpus system %s fails its axioms" % name)
-        files[name] = jsonio.system_to_obj(system)
+    files = {name: (jsonio.system_to_obj(system), [check_lts(system)])
+             for name, system in systems.items()}
 
     N01 = ((0, 1), (0, 1))
     operators = {
@@ -400,65 +378,53 @@ def emit_corpus(target):
         "solv3N.json": (sys_solv3, SOLV3_N, None),
     }
     for name, (system, N, weight) in operators.items():
-        if not is_nijenhuis(system, N):
-            raise RuntimeError("corpus operator %s is not Nijenhuis" % name)
-        files[name] = jsonio.operator_to_obj(N, weight)
-    if is_nijenhuis(sys_pair, L2PAIR_BAD_N):
-        raise RuntimeError("the negative operator example is unexpectedly "
-                           "Nijenhuis")
-    files["l2pairN.json"] = jsonio.operator_to_obj(L2PAIR_BAD_N)
+        files[name] = (jsonio.operator_to_obj(N, weight),
+                       [is_nijenhuis(system, N)])
+    files["l2pairN.json"] = (jsonio.operator_to_obj(L2PAIR_BAD_N),
+                             [not is_nijenhuis(sys_pair, L2PAIR_BAD_N)])
 
     rep_l2 = adjoint_rep(sys_l2)
-    rep_solv3 = adjoint_rep(sys_solv3)
-    rep_triv = trivial_rep(sys_ab2, 1)
     reps = {
         "adjL2.json": (rep_l2, N01, N01),
-        "adjsolv3.json": (rep_solv3, SOLV3_N, SOLV3_N),
-        "trivialrep.json": (rep_triv, zeros(2), zeros(1)),
+        "adjsolv3.json": (adjoint_rep(sys_solv3), SOLV3_N, SOLV3_N),
+        "trivialrep.json": (trivial_rep(sys_ab2, 1), zeros(2), zeros(1)),
     }
     for name, (rep, N, Nv) in reps.items():
-        if not check_representation(rep):
-            raise RuntimeError("corpus representation %s is invalid" % name)
-        if not check_nijenhuis_rep(rep, N, Nv):
-            raise RuntimeError("corpus representation %s fails the operator "
-                               "identity" % name)
-        files[name] = jsonio.rep_to_obj(rep, Nv)
+        files[name] = (jsonio.rep_to_obj(rep, Nv),
+                       [check_representation(rep),
+                        check_nijenhuis_rep(rep, N, Nv)])
 
     cx = Complex(sys_l2, rep_l2, N01, N01)
-    k1 = cx.kernel_pairs(1)
-    files["cocycle1_L2.json"] = jsonio.pair_to_obj(k1[0][0], None, 1)
-    k3 = cx.kernel_pairs(3)
-    files["cocycle3_L2.json"] = jsonio.pair_to_obj(k3[0][0], k3[0][1], 3)
-    k5 = cx.kernel_pairs(5)
-    for degree, pairs in ((1, k1), (3, k3), (5, k5)):
-        for f, g in pairs:
-            if not cx.is_cocycle(f, g if degree > 1 else None, degree):
-                raise RuntimeError("corpus cocycle of degree %d fails its "
-                                   "check" % degree)
+    k1, k3, k5 = (cx.kernel_pairs(degree) for degree in (1, 3, 5))
 
-    skel_sys, skel_n = cocycle_to_skeletal(cx, k5[0][0], k5[0][1])
-    if not check_2system(skel_sys):
-        raise RuntimeError("corpus skeletal 2-system fails its conditions")
-    if not check_nijenhuis_2system(skel_sys, skel_n):
-        raise RuntimeError("corpus skeletal structure fails its conditions")
-    files["skel2sys.json"] = jsonio.twosys_to_obj(skel_sys, skel_n)
+    def closed(pairs, degree):
+        return [cx.is_cocycle(f, g if degree > 1 else None, degree)
+                for f, g in pairs]
 
-    strict_sys, strict_n = cocycle_to_skeletal(
-        cx, zero_cochain(2, 2, 5), zero_cochain(2, 2, 3))
-    files["strict2sys.json"] = jsonio.twosys_to_obj(strict_sys, strict_n)
+    files["cocycle1_L2.json"] = (jsonio.pair_to_obj(k1[0][0], None, 1),
+                                 closed(k1, 1))
+    files["cocycle3_L2.json"] = (jsonio.pair_to_obj(*k3[0], 3), closed(k3, 3))
+    skel = cocycle_to_skeletal(cx, *k5[0])
+    strict = cocycle_to_skeletal(cx, zero_cochain(2, 2, 5),
+                                 zero_cochain(2, 2, 3))
+    for name, (sys2, nstr), more in (("skel2sys.json", skel, closed(k5, 5)),
+                                     ("strict2sys.json", strict, [])):
+        files[name] = (jsonio.twosys_to_obj(sys2, nstr),
+                       more + [check_2system(sys2),
+                               check_nijenhuis_2system(sys2, nstr)])
 
-    xm_id = CrossedModule(sys_l2, N01, 2, sys_l2.table, ident(2),
-                          rep_l2.theta, N01)
-    if not check_crossed_module(xm_id):
-        raise RuntimeError("corpus crossed module fails its conditions")
-    files["xmodL2.json"] = jsonio.xmod_to_obj(xm_id)
-    xm_zero = strict_to_crossed_module(strict_sys, strict_n)
-    if not check_crossed_module(xm_zero):
-        raise RuntimeError("corpus zero-h crossed module fails its conditions")
-    files["xmod0.json"] = jsonio.xmod_to_obj(xm_zero)
+    for name, xm in (
+            ("xmodL2.json", CrossedModule(sys_l2, N01, 2, sys_l2.table,
+                                          ident(2), rep_l2.theta, N01)),
+            ("xmod0.json", strict_to_crossed_module(*strict))):
+        files[name] = (jsonio.xmod_to_obj(xm), [check_crossed_module(xm)])
 
+    for name, (_, checks) in files.items():
+        if not all(checks):
+            raise RuntimeError("corpus payload %s fails its checks" % name)
+    os.makedirs(target, exist_ok=True)
     for name in sorted(files):
-        jsonio.dump_json(files[name], os.path.join(target, name))
+        jsonio.dump_json(files[name][0], os.path.join(target, name))
     return sorted(files)
 
 

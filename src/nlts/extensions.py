@@ -190,8 +190,8 @@ def extensions_equivalent(ext1, ext2):
     found, pair = cx.is_coboundary(dpsi, dchi, 3)
     if not found:
         return Report(False, [], [], {"equivalent": False, "gamma": None})
-    gamma_cochain = pair[0]
-    gamma = cochain_to_chi(gamma_cochain, n, m)
+    # over an empty domain is_coboundary shows no pair: gamma is then zero
+    gamma = cochain_to_chi(pair[0] if pair else {}, n, m)
     eta = _eta_matrix(gamma, n, m)
     iso_ok = _is_isomorphism(eta, ext1, ext2)
     return Report(iso_ok, [], [],

@@ -161,8 +161,8 @@ def _matrix(obj, where, got, rows, cols, cell=_scalar):
 def _theta(obj, where, got, n, m=None):
     """n-by-n matrices of size m, keyed (i, j); m defaults to the first's."""
     cells = _matrix(obj, where, got, n, n, lambda cell, path: cell)
-    if m is None:
-        if not cells or not isinstance(cells[0][0], list) or not cells[0][0]:
+    if m is None and cells:
+        if not isinstance(cells[0][0], list) or not cells[0][0]:
             raise InputError("%s must hold nonempty matrices" % where)
         m = len(cells[0][0])
     return {(i, j): _matrix(M, "%s[%d][%d]" % (where, i, j), got, m, m)
@@ -230,8 +230,20 @@ def _companion(obj, where, got):
     return _cochain(obj, where, got, got["degree"] - 2)
 
 
+def _fiber_operator(obj, where, got):
+    """Nv, m by m for the size m of the theta matrices; over a 0-dimensional
+    base there are none, and Nv's row count is m."""
+    if got["theta"]:
+        m = len(got["theta"][(0, 0)])
+    elif isinstance(obj, list):
+        m = len(obj)
+    else:
+        raise InputError("%s must be a square matrix" % where)
+    return _matrix(obj, where, got, m, m)
+
+
 def _vdim(got):
-    return len(got["theta"][(0, 0)])
+    return len(got["Nv"])
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +301,7 @@ def rep_from_obj(obj, base, where="representation"):
     got = _walk(obj, where, {"dim": base.dim}, "representation",
                 'be {"theta": [...], "Nv": [...]}',
                 {"theta": (True, _theta, "dim"),
-                 "Nv": (True, _matrix, _vdim, _vdim)})
+                 "Nv": (True, _fiber_operator)})
     return Representation(base, len(got["Nv"]), got["theta"]), got["Nv"]
 
 
@@ -461,7 +473,7 @@ def bundle_from_obj(obj, where="cocycle bundle"):
                     "system": (True, _walk, *_SYSTEM),
                     "N": (False, _matrix, "system.dim", "system.dim"),
                     "theta": (True, _theta, "system.dim"),
-                    "Nv": (True, _matrix, _vdim, _vdim),
+                    "Nv": (True, _fiber_operator),
                     "f": (True, _cochain, 5, "system.dim", _vdim),
                     "g": (True, _cochain, 3, "system.dim", _vdim)})
     system = LieTripleSystem(got["system"]["dim"], got["system"]["bracket"])

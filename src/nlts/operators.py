@@ -237,11 +237,11 @@ def classify_by_square(system, N):
 class _Poly(dict):
     """A polynomial {sorted tuple of variable indices: coefficient}.
 
-    It has just the arithmetic that the identity checks and the pair
-    differential of ``cohomology.Complex`` use, so they can run on an
-    operator, or a cochain pair, whose entries are variables.  Zero
-    coefficients are never stored, so the zero polynomial is the empty
-    dict and is falsy.
+    It has just the arithmetic that two symbolic runs use: the grid
+    search expands the Nijenhuis defect of an operator whose entries are
+    variables, and ``cohomology._w3_data`` reads the symmetry constraints
+    of a 3-tensor whose entries are variables.  Zero coefficients are
+    never stored, so the zero polynomial is the empty dict and is falsy.
     """
 
     def _put(self, m, c):

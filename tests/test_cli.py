@@ -59,6 +59,30 @@ def test_corpus_emission(corpus, capsys):
         assert expected in names
 
 
+def test_corpus_checks_every_payload(tmp_path, monkeypatch):
+    import nlts.operators
+    import nlts.twosys
+    checked = []
+
+    def check_2system(sys2):
+        checked.append(jsonio.twosys_to_obj(sys2))
+        return real(sys2)
+
+    real = nlts.twosys.check_2system
+    monkeypatch.setattr(nlts.twosys, "check_2system", check_2system)
+    assert run(["corpus", str(tmp_path / "c")]) == 0
+    for name in ("skel2sys.json", "strict2sys.json"):
+        written = json.loads((tmp_path / "c" / name).read_text())
+        assert {k: v for k, v in written.items()
+                if k not in ("N0", "N1", "N2")} in checked, name
+
+    # with every operator Nijenhuis, the negative example fails its check
+    monkeypatch.setattr(nlts.operators, "is_nijenhuis", lambda *args: True)
+    with pytest.raises(RuntimeError, match="l2pairN.json"):
+        run(["corpus", str(tmp_path / "d")])
+    assert not (tmp_path / "d").exists()
+
+
 def test_check_lts_verdicts(corpus, tmp_path, capsys):
     assert run(["check-lts", path(corpus, "L2.json")]) == 0
     assert capsys.readouterr().out.strip() == "ok"
@@ -294,6 +318,15 @@ def test_equivalent_self_and_refusal(corpus, tmp_path, capsys):
     # extensions cannot be equivalent
     assert run(["equivalent", str(ext_file), str(zero_ext)]) == 1
     assert "not equivalent" in capsys.readouterr().out
+
+    # over a 0-dimensional base C^1 is empty and gamma is the zero map
+    zero_base = tmp_path / "zerobase.json"
+    zero_base.write_text(json.dumps(
+        {"base": {"dim": 0, "bracket": [], "N": []},
+         "fiber": {"vdim": 1, "Nv": [["0"]]}, "theta": [], "psi": [],
+         "chi": [[]]}))
+    assert run(["equivalent", str(zero_base), str(zero_base)]) == 0
+    assert capsys.readouterr().out == "equivalent\ngamma: [[]]\n"
 
 
 def test_twosys_commands(corpus, tmp_path, capsys):

@@ -218,6 +218,17 @@ def test_equivalence_reflexive(cx_l2_adj):
     assert eq.data["equivalent"] and eq.data["isomorphism_verified"]
 
 
+def test_equivalence_over_a_zero_dimensional_base():
+    # C^1 is empty, so is_coboundary shows no preimage: gamma is the zero map
+    base = LieTripleSystem(0, {})
+    ext = AbelianExtension(base, Representation(base, 1, {}), (), ((0,),),
+                           {}, ((),))
+    eq = extensions_equivalent(ext, ext)
+    assert eq.ok
+    assert eq.data == {"equivalent": True, "gamma": ((),),
+                       "isomorphism_verified": True}
+
+
 def test_inequivalence_of_nontrivial_class(cx_l2_adj):
     cx = cx_l2_adj
     zero_ext, _ = build_extension(

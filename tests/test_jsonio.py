@@ -14,6 +14,8 @@ from nlts import (
     AbelianExtension,
     Complex,
     CrossedModule,
+    LieTripleSystem,
+    Representation,
     adjoint_rep,
     cocycle_to_skeletal,
     ident,
@@ -268,7 +270,8 @@ W = "payload"
 @functools.lru_cache(maxsize=None)
 def schema_cases():
     """(name, payload, round trip) for every `nlts corpus` payload, an
-    extension and a bundle; each round trip reads at path W and writes."""
+    extension, a bundle, and a representation and a bundle over a
+    0-dimensional base; each round trip reads at path W and writes."""
     with tempfile.TemporaryDirectory() as target:
         names = emit_corpus(target)
         files = {name: load_json(os.path.join(target, name)) for name in names}
@@ -301,6 +304,14 @@ def schema_cases():
     cases.append(("extension", extension_to_obj(ext),
                   lambda o: extension_to_obj(extension_from_obj(o, W))))
     cases.append(("bundle", bundle_to_obj(cx, *cx.kernel_pairs(5)[1]),
+                  lambda o: bundle_to_obj(*bundle_from_obj(o, W))))
+    # no theta matrices to size the fiber: Nv gives m
+    base0 = LieTripleSystem(0, {})
+    rep0 = Representation(base0, 2, {})
+    cases.append(("zero-base representation", rep_to_obj(rep0, ident(2)),
+                  lambda o: rep_to_obj(*rep_from_obj(o, base0, W))))
+    cx0 = Complex(base0, rep0, (), ident(2))
+    cases.append(("zero-base bundle", bundle_to_obj(cx0, {}, {}),
                   lambda o: bundle_to_obj(*bundle_from_obj(o, W))))
     return cases
 
@@ -347,7 +358,7 @@ def node_at(obj, path):
 
 def test_every_payload_round_trips():
     cases = schema_cases()
-    assert len(cases) == 26
+    assert len(cases) == 28
     for name, obj, trip in cases:
         assert trip(copy.deepcopy(obj)) == obj, name
 
@@ -396,6 +407,19 @@ def test_system_payload_faults_name_their_path(mutate, message):
     with pytest.raises(InputError) as info:
         system_from_obj(obj, W)
     assert str(info.value) == message
+
+
+def test_zero_base_fiber_is_sized_by_nv():
+    base0 = LieTripleSystem(0, {})
+    rep, Nv = rep_from_obj({"theta": [], "Nv": [["1", "0"], ["0", "1"]]},
+                           base0, W)
+    assert rep.vdim == 2 and Nv == ident(2)
+    for nv, message in ((5, "payload.Nv must be a square matrix"),
+                        ([["1", "0"], ["0"]],
+                         "payload.Nv row 1 must have 2 entries")):
+        with pytest.raises(InputError) as info:
+            rep_from_obj({"theta": [], "Nv": nv}, base0, W)
+        assert str(info.value) == message
 
 
 def test_pair_companion_and_required_keys():
