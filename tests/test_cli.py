@@ -18,7 +18,9 @@ import pytest
 
 from nlts import Complex, adjoint_rep, l2
 from nlts.cli import build_parser, run
-from nlts.cohomology import cochain_add, cochain_scale
+from nlts.cohomology import (cochain_add, cochain_iszero, cochain_scale,
+                             zero_cochain)
+from nlts.twosys import cocycle_to_skeletal
 from nlts import jsonio
 
 N01 = ((0, 1), (0, 1))
@@ -510,6 +512,25 @@ def golden_payloads(root):
         {"dim0": 0, "dim1": 1, "N0": [], "N1": [["1"]], "N2": []}))
     (root / "zerobundle.json").write_text(call(
         ["skeletal-to-cocycle", str(root / "zero2sys.json")])[1])
+    # degree-5 inputs over l2 adjoint: a skeletal 2-system whose l5 is a
+    # basis cochain off the delta-cocycles (L11 fails), one whose N2 is a
+    # kernel companion plus a basis cochain off the partial-cocycles
+    # (condition (f) fails), and both added to a kernel pair in fractions
+    # as a degree-5 pair
+    cx = Complex(l2(), adjoint_rep(l2()), N01, N01)
+    f5, g5 = cx.kernel_pairs(5)[0]
+    off5 = next(b for b in cx.cochain_basis(5)
+                if not cochain_iszero(cx.delta(b, 5)))
+    off3 = next(b for b in cx.cochain_basis(3)
+                if not cochain_iszero(cx.partial(b, 3)))
+    for name, pair in (("l5open2sys.json", (off5, zero_cochain(2, 2, 3))),
+                       ("fopen2sys.json", (f5, cochain_add(g5, off3)))):
+        (root / name).write_text(jsonio.dumps(jsonio.twosys_to_obj(
+            *cocycle_to_skeletal(cx, *pair))))
+    (root / "notclosed5_frac.json").write_text(jsonio.dumps(jsonio.pair_to_obj(
+        cochain_scale(Fraction(-2, 3), cochain_add(f5, off5)),
+        cochain_add(cochain_scale(Fraction(-2, 3), g5),
+                    cochain_scale(Fraction(1, 2), off3)), 5)))
 
 
 def schema_payloads(root):
@@ -603,6 +624,10 @@ def golden_commands():
         ["check-2sys", C("l3asym2sys.json")],
         ["check-n2sys", C("n2cyclic.json")],
         ["check-rb", L2, C("idN.json")], ["check-xmod", C("failxmod.json")],
+        ["check-2sys", C("l5open2sys.json")],
+        ["check-n2sys", C("fopen2sys.json")],
+        ["cocycle-check", L2, N01f, ADJ, C("notclosed5_frac.json"),
+         "--degree", "5"],
     ]
     cohomology = [["cohomology", *ctx, "--degree", str(degree)]
                   for ctx in ((L2, N01f, ADJ), (S3, S3N, S3ADJ))
