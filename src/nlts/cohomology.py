@@ -37,19 +37,25 @@ with g one bracket-degree below f (absent in degree 1).  Cohomology in
 degree 1 is ker d; in degrees 3 and 5 it is ker d modulo the image of
 the previous d.
 
-d is written once, as its terms at one output tuple (``coboundary_terms``
-and phi's slot step), with two readers: the numeric one evaluates them on
-a cochain, and the row one adds them, from the coordinate index of the
-domain basis, into one sparse row per output coordinate at the transversal
-tuples ``Complex.flatten`` reads, which gives the matrix of d.
-``is_cocycle`` runs d at every tuple, on den*f and den*g with den the lcm
-of their denominators, so the arithmetic is on integers; d is linear, so
-each witness value is the result divided by den.
+d is written once, as Yamaguti's formula in a plan of terms per degree
+(``coboundary_plan``) and as phi's slot step.  The row reader gathers the
+terms at each transversal tuple ``Complex.flatten`` reads and adds them,
+from the coordinate index of the domain basis, into one sparse row per
+output coordinate: the matrix of d.  The numeric reader scatters each
+nonzero value of a cochain to the output tuples whose terms read it, so it
+costs the support of f times the nonzeros of theta, D and the bracket;
+phi's step is evaluated at every tuple.
+``is_cocycle`` runs d on den*f and den*g with den the lcm of their
+denominators, so the arithmetic is on integers; d is linear, so each
+witness value is the result divided by den.
 """
 
+import collections
 from fractions import Fraction
+import functools
 import itertools
 import math
+from operator import itemgetter
 
 from .linalg import (
     as_matrix,
@@ -202,29 +208,50 @@ def validate_cochain(f, dim, vdim, degree):
     return Report(not violations, violations)
 
 
-def coboundary_terms(t, degree, theta, D, brackets):
-    """Yamaguti's coboundary (module docstring) of an odd-degree f at the
-    output tuple t, as terms (c, M, args, pos, w): the sign c times M (None:
-    the identity) applied to f at args with the vector w in slot pos (None:
-    f at args).  ``theta`` and ``D`` map basis pairs to matrices;
-    ``brackets[key]`` lists (c, M, w) per part of the bracket e_key fed into
-    a slot, and a part with w zero is no term."""
-    yield 1, theta[t[-2:]], t[:-2], None, None
-    yield -1, theta[(t[-3], t[-1])], t[:-3] + t[-2:-1], None, None
+@functools.cache
+def coboundary_plan(degree):
+    """The terms of Yamaguti's coboundary at an output tuple t of length
+    degree + 2, in formula order, as (sign, table, key, args, pos, place):
+    sign times the matrix table[key(t)] (0: theta, 1: D) on f(args(t)), or
+    (2) the bracket e_key(t) fed into slot pos of f at args(t); args(t) is
+    t without the key's first two entries.  place builds t from s +
+    key(t), s any tuple the term reads f at."""
+    if degree < 1 or degree % 2 == 0:
+        raise ValueError("differentials act on odd degrees; got %d" % degree)
+    out = degree + 2
+    terms = [(1, 0, (out - 2, out - 1), None),
+             (-1, 0, (out - 3, out - 1), None)]
     sign = (-1) ** (degree // 2)  # (-1)^(p+k+1) at k = 1
     for k in range(0, degree, 2):
-        pair = t[k:k + 2]
-        rest = t[:k] + t[k + 2:]
-        yield sign, D[pair], rest, None, None
-        for pos in range(k, degree):
-            for c, M, w in brackets[pair + (rest[pos],)]:
-                if any(w):
-                    yield -sign * c, M, rest, pos, w
+        terms += [(sign, 1, (k, k + 1), None)] + [
+            (-sign, 2, (k, k + 1, pos + 2), pos) for pos in range(k, degree)]
         sign = -sign
+    get = lambda p: itemgetter(*p) if len(p) > 1 else lambda t: (t[p[0]],)
+    plan = []
+    for sign, table, key, pos in terms:
+        args = tuple(p for p in range(out) if p not in key[:2])
+        read = {p: i for i, p in enumerate(args + key)}
+        plan.append((sign, table, get(key), get(args), pos,
+                     itemgetter(*map(read.get, range(out)))))
+    return tuple(plan)
+
+
+def coboundary_terms(t, degree, theta, D, brackets):
+    """The gather reader of ``coboundary_plan``: the terms at t as (c, M,
+    args, pos, w), c times M (None: the identity) on f at args with w in
+    slot pos (None: f at args).  ``theta`` and ``D`` map basis pairs to
+    matrices, ``brackets[key]`` lists (c, M, w) per part of the bracket
+    e_key fed into a slot, and a part with w zero is no term."""
+    tables = (theta, D, brackets)
+    for sign, table, key, args, pos, _ in coboundary_plan(degree):
+        entry, rest = tables[table][key(t)], args(t)
+        yield from (((sign, entry, rest, None, None),) if pos is None else
+                    ((sign * c, M, rest, pos, w)
+                     for c, M, w in entry if any(w)))
 
 
 def _evaluate(f, m, terms):
-    """The numeric reader of a term list (see ``coboundary_terms``): its
+    """phi's reader of a term list in the ``coboundary_terms`` form: its
     value on a cochain f given at every tuple."""
     acc = [0] * m
     for c, M, args, pos, w in terms:
@@ -275,13 +302,38 @@ def _coordinates(n, m, degree, offset=0):
     return index
 
 
-def yamaguti_coboundary(f, degree, n, m, theta, D, brackets):
-    """The numeric reader of ``coboundary_terms`` at every (degree+2)-tuple."""
-    if degree < 1 or degree % 2 == 0:
-        raise ValueError("differentials act on odd degrees; got %d" % degree)
-    return {t: _evaluate(f, m, coboundary_terms(t, degree, theta, D,
-                                                brackets))
-            for t in itertools.product(range(n), repeat=degree + 2)}
+def yamaguti_coboundary(f, degree, m, theta, D, brackets):
+    """The scatter reader of ``coboundary_plan`` (tables as in
+    ``coboundary_terms``): the nonzero values of the coboundary of f, whose
+    missing keys are zero.  Each nonzero v = f(s) goes to the tuples whose
+    terms read it; theta v and D v are formed once per nonzero matrix, and
+    M v once per distinct M of the bracket parts."""
+    plan = coboundary_plan(degree)
+    tables = [[(key, M) for key, M in table.items() if any(map(any, M))]
+              for table in (theta, D)]
+    Ms = {id(M): M for parts in brackets.values() for _, M, _ in parts}
+    reach = collections.defaultdict(list)  # j: (key, c w[j], id(M)) per part
+    for key, parts in brackets.items():
+        for c, M, w in parts:
+            for j, x in enumerate(w):
+                if x:
+                    reach[j].append((key, c * x, id(M)))
+    out = collections.defaultdict(lambda: [0] * m)
+    for s, v in f.items():
+        if not any(v):
+            continue
+        images = [[(key, u) for key, M in table if any(u := matvec(M, v))]
+                  for table in tables]
+        Mv = {i: v if M is None else matvec(M, v) for i, M in Ms.items()}
+        for sign, table, _, _, pos, place in plan:
+            hits = ([(key, sign, u) for key, u in images[table]] if pos is None
+                    else [(k, sign * c, Mv[i]) for k, c, i in reach[s[pos]]])
+            for key, c, u in hits:
+                acc = out[place(s + key)]
+                for a, x in enumerate(u):
+                    if x:
+                        acc[a] += c * x
+    return {t: tuple(acc) for t, acc in out.items() if any(acc)}
 
 
 class Complex:
@@ -322,18 +374,22 @@ class Complex:
         """phi's slot step s at t, as terms: N in slot s minus Nv after."""
         return ((1, None, t, s, self._NT[t[s]]), (-1, self.Nv, t, None, None))
 
+    def _coboundary(self, f, degree, *tables):
+        """``yamaguti_coboundary`` of f with these tables, at every tuple."""
+        f = normalize_cochain(f, self.n, self.m, degree)
+        f = yamaguti_coboundary(f, degree, self.m, *tables)
+        return normalize_cochain(f, self.n, self.m, degree + 2)
+
     def delta(self, f, degree):
         """Yamaguti coboundary of the underlying structure (degree +2)."""
-        f = normalize_cochain(f, self.n, self.m, degree)
-        return yamaguti_coboundary(f, degree, self.n, self.m, self.theta,
-                                   self.D, self._delta_brackets)
+        return self._coboundary(f, degree, self.theta, self.D,
+                                self._delta_brackets)
 
     def partial(self, f, degree):
         """Deformed coboundary with alternating graded insertions
         (degree +2)."""
-        f = normalize_cochain(f, self.n, self.m, degree)
-        return yamaguti_coboundary(f, degree, self.n, self.m, self.thetaN,
-                                   self.DN, self._partial_brackets)
+        return self._coboundary(f, degree, self.thetaN, self.DN,
+                                self._partial_brackets)
 
     def phi(self, f, degree):
         """Product over slots of (apply N in the slot) - (apply Nv after)."""
@@ -349,11 +405,7 @@ class Complex:
             raise ValueError("degree-1 cochains have no companion")
         if degree not in (1, 3, 5):
             raise ValueError("the pair differential acts in degrees 1, 3, 5")
-        if f is None:
-            df = zero_cochain(self.n, self.m, degree + 2)
-        else:
-            df = self.delta(f, degree)
-        return df, self.d_second(f, g, degree)
+        return self.delta(f or {}, degree), self.d_second(f, g, degree)
 
     def d_second(self, f, g, degree):
         """The second component of d(f, g), partial g + (-1)^k phi f; a
@@ -502,7 +554,7 @@ class Complex:
         df, second = self.d(*pair, degree)
         for name, h in (("bracket", df), ("operator", second)):
             for t, v in sorted(h.items()):
-                if not viszero(v):
+                if any(v):
                     if den != 1:
                         v = tuple(Fraction(x, den) for x in v)
                     violations.append({"component": name, "at": t, "value": v})

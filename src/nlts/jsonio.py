@@ -15,6 +15,7 @@ reading a system or an operator loads no cochain or 2-system code.
 """
 
 import json
+import sys
 
 from .linalg import format_rational, parse_rational
 from .lts import LieTripleSystem, Representation
@@ -140,6 +141,8 @@ def _size(spec, got):
 def _count(value, where, got, text="a nonnegative integer", ok=None):
     if not (_is_index(value) and value >= 0 and (ok is None or ok(value))):
         raise InputError("%s must be %s" % (where, text))
+    if value > sys.maxsize:
+        raise InputError("%s must be at most %d" % (where, sys.maxsize))
     return value
 
 

@@ -204,17 +204,21 @@ def test_hostile_input_exits_2(case, corpus, tmp_path, capsys):
 
 def test_former_traceback_inputs_exit_2(corpus, tmp_path, capsys):
     # each of these printed a traceback and exited 1: a bundle without "f"
-    # or "g" (KeyError) and a bracket that is not a list (TypeError)
+    # or "g" (KeyError), a bracket that is not a list (TypeError) and a dim
+    # too large for an index (OverflowError)
     assert run(["skeletal-to-cocycle", path(corpus, "skel2sys.json")]) == 0
     bundle = json.loads(capsys.readouterr().out)
     payloads = {"nof.json": {k: v for k, v in bundle.items() if k != "f"},
                 "nog.json": {k: v for k, v in bundle.items() if k != "g"},
-                "bracket5.json": {"dim": 2, "bracket": 5}}
+                "bracket5.json": {"dim": 2, "bracket": 5},
+                "hugedim.json": {"dim": 10**30, "bracket": [
+                    {"i": 0, "j": 0, "k": 0, "out": {}}]}}
     for name, payload in payloads.items():
         (tmp_path / name).write_text(json.dumps(payload))
     for argv in (["cocycle-to-skeletal", str(tmp_path / "nof.json")],
                  ["cocycle-to-skeletal", str(tmp_path / "nog.json")],
-                 ["check-lts", str(tmp_path / "bracket5.json")]):
+                 ["check-lts", str(tmp_path / "bracket5.json")],
+                 ["check-lts", str(tmp_path / "hugedim.json")]):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, argv

@@ -18,6 +18,8 @@ from nlts import (
     Complex,
     LieTripleSystem,
     adjoint_rep,
+    check_lts,
+    check_representation,
     direct_sum,
     extensions_equivalent,
     ident,
@@ -30,6 +32,7 @@ from nlts import (
     validate_cochain,
     zero_cochain,
 )
+from nlts import cohomology
 from nlts.cohomology import (_w3_data, cochain_add, cochain_iszero,
                              cochain_scale, cochain_sub)
 from nlts.operators import _Poly
@@ -229,24 +232,71 @@ def test_delta_partial_phi_match_reference(ctxname, request):
             assert cx.partial(f, deg) == ctx.partial(f, deg)
 
 
+@pytest.fixture(scope="module")
+def cx_l2_invalid():
+    """l2 adjoint with [e0,e0,e0] = e1/2 added to the bracket, which is
+    then not antisymmetric: neither the base nor the representation is
+    valid, so delta need not land in the constrained cochains."""
+    table = dict(l2().table)
+    table[(0, 0, 0)] = (0, Fraction(1, 2))
+    system = LieTripleSystem(2, table)
+    return Complex(system, adjoint_rep(system), ((0, 1), (0, 1)),
+                   ((1, 0), (1, 1)))
+
+
+def test_invalid_context_leaves_the_constrained_space(cx_l2_invalid):
+    cx = cx_l2_invalid
+    assert not check_lts(cx.system) and not check_representation(cx.rep)
+    assert any(not validate_cochain(cx.delta(b, 1), 2, 2, 3)
+               for b in cx.cochain_basis(1))
+
+
 @pytest.mark.parametrize("ctxname", ["cx_l2_adj", "cx_l2_adj_half",
                                      "cx_l2_triv_frac", "cx_dim1",
-                                     "cx_l2_adj_seeded"])
+                                     "cx_l2_adj_seeded", "cx_l2_invalid"])
 def test_delta_partial_match_reference_on_any_cochain(ctxname, request):
-    """The numeric reader of ``coboundary_terms`` against the oracle's
+    """The numeric reader of ``coboundary_plan`` against the oracle's
     hand-expanded formulas, value by value at every tuple, on random int
-    and Fraction cochains that need not satisfy the slot constraints."""
+    and Fraction cochains that need not satisfy the slot constraints:
+    given at every tuple, and sparse, at one to three tuples."""
     cx = request.getfixturevalue(ctxname)
     ctx = as_ctx(cx)
-    rng = random.Random(29)
+    rng, sparse_rng = random.Random(29), random.Random(37)
     draws = (lambda: rng.randint(-3, 3),
              lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
     for deg in (1, 3, 5):
-        for draw in draws:
-            f = {t: tuple(draw() for _ in range(cx.m))
-                 for t in itertools.product(range(cx.n), repeat=deg)}
-            assert cx.delta(f, deg) == ctx.delta(f, deg)
-            assert cx.partial(f, deg) == ctx.partial(f, deg)
+        tuples = list(itertools.product(range(cx.n), repeat=deg))
+        cochains = [{t: tuple(draw() for _ in range(cx.m)) for t in tuples}
+                    for draw in draws]
+        support = sparse_rng.sample(tuples, min(len(tuples),
+                                                sparse_rng.randint(1, 3)))
+        cochains.append({t: tuple(draws[1]() or 1 for _ in range(cx.m))
+                         for t in support})
+        for f in cochains:
+            dense = normalize_cochain(f, cx.n, cx.m, deg)
+            assert cx.delta(f, deg) == ctx.delta(dense, deg)
+            assert cx.partial(f, deg) == ctx.partial(dense, deg)
+
+
+def test_coboundary_costs_the_support_of_f(cx_sl2_adj, monkeypatch):
+    """For each nonzero value v of f, delta forms theta v and D v once per
+    nonzero matrix, and partial also Nv v and Nv^2 v once; a pass over
+    every output tuple formed them once per term there."""
+    cx = cx_sl2_adj
+    f = {(0, 1, 2): (1, 0, 2), (2, 0, 1): (0, Fraction(-1, 2), 1)}
+    calls = []
+    matvec = cohomology.matvec
+    monkeypatch.setattr(cohomology, "matvec",
+                        lambda M, v: calls.append(1) or matvec(M, v))
+
+    def nonzero(table):
+        return sum(1 for M in table.values() if any(map(any, M)))
+    for run, bound in (
+            (cx.delta, nonzero(cx.theta) + nonzero(cx.D)),
+            (cx.partial, nonzero(cx.thetaN) + nonzero(cx.DN) + 2)):
+        calls.clear()
+        assert not cochain_iszero(run(f, 3))
+        assert 0 < len(calls) <= len(f) * bound, (run.__name__, len(calls))
 
 
 @pytest.mark.parametrize("ctxname", ["cx_l2_adj", "cx_l2_triv", "cx_dim1"])

@@ -4,6 +4,7 @@ import copy
 import functools
 import json
 import os
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -400,6 +401,8 @@ def test_mutated_payloads_are_refused_by_path(data):
      "bad index '2' in payload.bracket[0].out"),
     (lambda o: o.update(bracket=5), "payload.bracket must be a list of entries"),
     (lambda o: o.update(dim=-1), "payload.dim must be a nonnegative integer"),
+    (lambda o: o.update(dim=10**30),
+     "payload.dim must be at most %d" % sys.maxsize),
 ])
 def test_system_payload_faults_name_their_path(mutate, message):
     obj = system_to_obj(l2())
