@@ -16,11 +16,9 @@ from unittest import mock
 
 import pytest
 
-from nlts import Complex, adjoint_rep, l2
+from nlts import Complex, adjoint_rep, cocycle_to_skeletal, l2, zero_cochain
 from nlts.cli import build_parser, run
-from nlts.cohomology import (cochain_add, cochain_iszero, cochain_scale,
-                             zero_cochain)
-from nlts.twosys import cocycle_to_skeletal
+from nlts.cohomology import cochain_add, cochain_iszero, cochain_scale
 from nlts import jsonio
 
 N01 = ((0, 1), (0, 1))
