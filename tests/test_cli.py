@@ -159,27 +159,29 @@ def test_search_budget_and_bad_grid(corpus, capsys):
     assert run(["search", path(corpus, "L2.json"), "--grid", "a,b"]) == 2
 
 
+# the golden payload of each case is hostile<i>.json, i its place in this
+# dict, so a new case goes at the end
 HOSTILE = {
-    "zero denominator in a matrix": (
-        ["check-nijenhuis", "L2.json", "@op"],
-        {"dim": 2, "matrix": [["1/0", "0"], ["0", "1"]]}),
-    "zero denominator weight": (
-        ["check-rb", "L2.json", "rb0N.json", "--weight", "1/0"], None),
-    "non-numeric weight": (
-        ["check-mrb", "L2.json", "projN.json", "--weight", "abc"], None),
-    "zero denominator in the grid": (
-        ["search", "L2.json", "--grid=1/0,1"], None),
-    "boolean scalar": (
-        ["check-nijenhuis", "L2.json", "@op"],
-        {"dim": 2, "matrix": [[True, "0"], ["0", "1"]]}),
+    "boolean bracket index": (
+        ["check-lts", "@op"],
+        {"dim": 2, "bracket": [{"i": False, "j": 1, "k": 1, "out": {"0": "1"}}]}),
     "boolean cochain index": (
         ["cocycle-check", "L2.json", "N01.json", "adjL2.json", "@op"],
         {"degree": 3,
          "f": {"degree": 3, "entries": [{"args": [0, True, 0], "out": {"1": "1"}}]},
          "g": {"degree": 1, "entries": []}}),
-    "boolean bracket index": (
-        ["check-lts", "@op"],
-        {"dim": 2, "bracket": [{"i": False, "j": 1, "k": 1, "out": {"0": "1"}}]}),
+    "boolean scalar": (
+        ["check-nijenhuis", "L2.json", "@op"],
+        {"dim": 2, "matrix": [[True, "0"], ["0", "1"]]}),
+    "non-numeric weight": (
+        ["check-mrb", "L2.json", "projN.json", "--weight", "abc"], None),
+    "zero denominator in a matrix": (
+        ["check-nijenhuis", "L2.json", "@op"],
+        {"dim": 2, "matrix": [["1/0", "0"], ["0", "1"]]}),
+    "zero denominator in the grid": (
+        ["search", "L2.json", "--grid=1/0,1"], None),
+    "zero denominator weight": (
+        ["check-rb", "L2.json", "rb0N.json", "--weight", "1/0"], None),
     "zero tables read from a crossed-module payload": (
         ["check-2sys", "xmodL2.json"], None),
     "zero tables read from an operator payload": (
@@ -187,7 +189,7 @@ HOSTILE = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(HOSTILE))
+@pytest.mark.parametrize("case", list(HOSTILE))
 def test_hostile_input_exits_2(case, corpus, tmp_path, capsys):
     argv, payload = HOSTILE[case]
     if payload is not None:
@@ -498,7 +500,7 @@ def golden_payloads(root):
     n2cyclic = json.loads((root / "skel2sys.json").read_text())
     n2cyclic["N2"].append({"args": [0, 0, 1], "out": {"0": "1/3"}})
     (root / "n2cyclic.json").write_text(json.dumps(n2cyclic))
-    for i, case in enumerate(sorted(HOSTILE)):
+    for i, case in enumerate(HOSTILE):
         payload = HOSTILE[case][1]
         if payload is not None:
             (root / ("hostile%d.json" % i)).write_text(json.dumps(payload))
@@ -533,6 +535,21 @@ def golden_payloads(root):
         cochain_scale(Fraction(-2, 3), cochain_add(f5, off5)),
         cochain_add(cochain_scale(Fraction(-2, 3), g5),
                     cochain_scale(Fraction(1, 2), off3)), 5)))
+    # fraction inputs: a bracket that fails only the five-term identity,
+    # l2+l2 halved, and an operator that is Nijenhuis on neither l2+l2
+    (root / "fracbracket.json").write_text(json.dumps(
+        {"dim": 2, "bracket": [
+            {"i": 0, "j": 1, "k": 0, "out": {"0": "1/3"}},
+            {"i": 1, "j": 0, "k": 0, "out": {"0": "-1/3"}},
+            {"i": 0, "j": 1, "k": 1, "out": {"0": "1/2", "1": "-2/3"}},
+            {"i": 1, "j": 0, "k": 1, "out": {"0": "-1/2", "1": "2/3"}}]}))
+    halfpair = json.loads((root / "l2pair.json").read_text())
+    for entry in halfpair["bracket"]:
+        entry["out"] = {a: str(Fraction(x) / 2) for a, x in entry["out"].items()}
+    (root / "halfpair.json").write_text(json.dumps(halfpair))
+    (root / "fracN.json").write_text(json.dumps(
+        {"dim": 4, "matrix": [["-3/2", "-2", "0", "2/3"], ["-3", "3/4", "0", "3"],
+                              ["-3", "-1", "-2/3", "3"], ["2", "-2", "3", "-1/2"]]}))
 
 
 def schema_payloads(root):
@@ -652,7 +669,7 @@ def golden_commands():
         ["equivalent", C("ext.json"), C("other.json")],
         ["cohomology", L2, N01f, ADJ, "--degree", "4"],
     ]
-    for i, case in enumerate(sorted(HOSTILE)):
+    for i, case in enumerate(HOSTILE):
         argv = HOSTILE[case][0]
         hostile.append([C("hostile%d.json" % i) if a == "@op"
                         else C(a) if a.endswith(".json") else a
@@ -679,11 +696,16 @@ def golden_commands():
     ]
     zero_base = [["skeletal-to-cocycle", C("zero2sys.json")],
                  ["cocycle-to-skeletal", C("zerobundle.json")]]
-    return ([mode + argv for mode in ([], ["--json"], ["--witness"])
-             for argv in verify]
+    fractions = [["check-lts", C("fracbracket.json")],
+                 ["check-nijenhuis", C("l2pair.json"), C("fracN.json")],
+                 ["check-nijenhuis", C("halfpair.json"), C("fracN.json")],
+                 ["extend", L2, N01f, ADJ, C("notclosed_frac.json")]]
+    modes = ([], ["--json"], ["--witness"])
+    return ([mode + argv for mode in modes for argv in verify]
             + [mode + argv for mode in ([], ["--json"]) for argv in cohomology]
             + [["--json"] + argv for argv in emit]
-            + hostile + helps + schema + zero_base)
+            + hostile + helps + schema + zero_base
+            + [mode + argv for mode in modes for argv in fractions])
 
 
 def golden_records(root):
