@@ -45,20 +45,19 @@ output coordinate: the matrix of d.  The numeric reader scatters each
 nonzero value of a cochain to the output tuples whose terms read it, so it
 costs the support of f times the nonzeros of theta, D and the bracket;
 phi's step is evaluated at every tuple.
-``is_cocycle`` runs d on den*f and den*g with den the lcm of their
-denominators, so the arithmetic is on integers; d is linear, so each
-witness value is the result divided by den.
+``is_cocycle`` runs d on den*f and den*g, integers by
+``linalg.integer_scaled``; d is linear, so each witness value is the
+result divided by den.
 """
 
 import collections
-from fractions import Fraction
 import functools
 import itertools
-import math
 from operator import itemgetter
 
 from .linalg import (
     as_matrix,
+    integer_scaled,
     kernel_basis,
     matmul,
     matsub,
@@ -66,6 +65,7 @@ from .linalg import (
     rank,
     solve_linear,
     vadd,
+    vdiv,
     viszero,
     vscale,
     vsub,
@@ -357,7 +357,7 @@ class Complex:
                    for i in range(n) for j in range(n)}
         self._NT = tuple(zip(*self.N))
         # (a3, p0, p1, p2) per basis triple, see telescoped_brackets
-        self._parts = telescoped_brackets(system, self.N)
+        self._parts = telescoped_brackets(system.table, self.N)
         # the bracket parts delta and partial feed into a cochain slot
         Nv2 = matmul(self.Nv, self.Nv)
         self._delta_brackets = {k: ((1, None, p0),)
@@ -538,26 +538,21 @@ class Complex:
     def is_cocycle(self, f, g, degree):
         """Whether d(f, g) vanishes; witnesses name the failing component.
 
-        d is linear, so it runs on den*f and den*g, which have integer
-        entries, den the lcm of the denominators of f and g; each witness
-        value is divided back by den.
+        d is linear, so it runs on f and g times den, integers by
+        ``integer_scaled``, and divides each witness value back by den.
         """
         violations, pair = self._checked(f, g if degree > 1 else None, degree)
         if violations:
             return Report(False, violations)
-        den = math.lcm(*(getattr(x, "denominator", 1)
-                         for h in pair if h for v in h.values() for x in v))
-        if den != 1:
-            pair = [h and {t: tuple(x.numerator * (den // x.denominator)
-                                    for x in v) for t, v in h.items()}
-                    for h in pair]
+        den, scaled = integer_scaled({t: v for h in pair if h
+                                      for t, v in h.items()})
+        pair = [h and {t: scaled[t] for t in h} for h in pair]
         df, second = self.d(*pair, degree)
         for name, h in (("bracket", df), ("operator", second)):
             for t, v in sorted(h.items()):
                 if any(v):
-                    if den != 1:
-                        v = tuple(Fraction(x, den) for x in v)
-                    violations.append({"component": name, "at": t, "value": v})
+                    violations.append({"component": name, "at": t,
+                                       "value": vdiv(v, den)})
         return Report(not violations, violations)
 
     def is_coboundary(self, f, g, degree):

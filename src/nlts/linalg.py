@@ -132,6 +132,24 @@ def mat_iszero(A):
     return all(viszero(row) for row in A)
 
 
+def integer_scaled(table):
+    """(den, den * table) for a ``{key: vector}`` dict or a matrix of
+    rationals, den the lcm of their denominators; (1, table) at den == 1.
+    A check of degree k in the table divides its values back by den**k."""
+    rows = table.values() if isinstance(table, dict) else table
+    den = lcm(*{x.denominator for row in rows for x in row})
+    if den == 1:
+        return 1, table
+    rows = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                 for row in rows)
+    return den, dict(zip(table, rows)) if isinstance(table, dict) else rows
+
+
+def vdiv(v, den):
+    """v divided by den, exactly; v itself at den == 1."""
+    return v if den == 1 else tuple(Fraction(x, den) for x in v)
+
+
 # ---------------------------------------------------------------------------
 # elimination
 
@@ -144,10 +162,8 @@ def _clear_row(row):
     """A dense or ``{column: value}`` row of rationals as ``{column: int}``:
     zeros dropped, denominators cleared, divided by the gcd (sign kept)."""
     row = {c: x for c, x in _entries(row) if x}
-    den = 1
-    for x in row.values():
-        den = lcm(den, Fraction(x).denominator)
-    return _primitive({c: int(x * den) for c, x in row.items()})
+    _, (ints,) = integer_scaled((tuple(row.values()),))
+    return _primitive({c: x.numerator for c, x in zip(row, ints)})
 
 
 def _primitive(row):

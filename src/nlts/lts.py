@@ -24,8 +24,8 @@ every other identity of the action is a contraction of its slot tables.
 import itertools
 from operator import itemgetter
 
-from .linalg import (as_matrix, mat_iszero, matsub, matvec, vadd, viszero,
-                     vzero, zeros)
+from .linalg import (as_matrix, integer_scaled, mat_iszero, matsub, matvec,
+                     vadd, vdiv, viszero, vzero, zeros)
 
 
 class Report:
@@ -351,12 +351,14 @@ def check_lts(system):
     multiplication L = [e_i1, e_i2, .] is a derivation of the bracket.
     It is checked for every pair (i1, i2) with L nonzero by contracting L
     with the table: L applied to each value against L applied in each
-    input slot.
+    input slot.  The checks run on integers, on the table times den
+    (``integer_scaled``), and divide symmetry sums back by den and
+    five-term sides, quadratic in the table, by den**2.
     """
     n = system.dim
-    T = system.table
+    den, T = integer_scaled(system.table)
     defects = symmetry_defects(T, n, 3, n)
-    violations = [{"axiom": kind, "at": at, "value": v}
+    violations = [{"axiom": kind, "at": at, "value": vdiv(v, den)}
                   for axiom in ("antisymmetry", "cyclic")
                   for kind, at, v in defects if kind == axiom]
     zero = vzero(n)
@@ -371,8 +373,8 @@ def check_lts(system):
                 violations.append({
                     "axiom": "five-term",
                     "at": (i1, i2) + key,
-                    "lhs": a,
-                    "rhs": b,
+                    "lhs": vdiv(a, den * den),
+                    "rhs": vdiv(b, den * den),
                 })
     return Report(not violations, violations)
 

@@ -17,12 +17,14 @@ import itertools
 from .linalg import (
     as_matrix,
     ident,
+    integer_scaled,
     matadd,
     mat_iszero,
     matmul,
     matscale,
     matvec,
     vadd,
+    vdiv,
     vscale,
     vsub,
     vzero,
@@ -34,26 +36,25 @@ class BudgetExceeded(ValueError):
     """Raised when an exhaustive search would exceed its configured budget."""
 
 
-def graded_brackets(system, N):
-    """The basis brackets graded by how many arguments N transforms.
+def graded_brackets(T, N):
+    """The basis brackets of T graded by how many arguments N transforms.
 
     Returns sparse tables (A0, A1, A2, A3) over basis triples (missing
     keys are zero): A_d[(i,j,k)] is the sum, over the ways of choosing d
     of the three slots, of the bracket of e_i, e_j, e_k with N applied in
-    the chosen slots.  So A0 is the structure table, A1 at (i,j,k) is
+    the chosen slots.  So A0 is the structure table T, A1 at (i,j,k) is
     [Ne_i,e_j,e_k] + [e_i,Ne_j,e_k] + [e_i,e_j,Ne_k], and A3 is
-    [Ne_i,Ne_j,Ne_k].  Each table is a chain of sparse contractions of the
-    structure table with N, one input slot at a time.
+    [Ne_i,Ne_j,Ne_k].  Each table is a chain of sparse contractions of T
+    with N, one input slot at a time.
     """
-    T = system.table
     T1, T2, T3 = (apply_in_slot(T, N, s) for s in range(3))
     T12 = apply_in_slot(T1, N, 1)
     A2 = add_tables(T12, apply_in_slot(T1, N, 2), apply_in_slot(T2, N, 2))
     return T, add_tables(T1, T2, T3), A2, apply_in_slot(T12, N, 2)
 
 
-def telescoped_brackets(system, N):
-    """The deformed bracket and its parts on every basis triple.
+def telescoped_brackets(T, N):
+    """The deformed bracket of T and its parts on every basis triple.
 
     Returns {(i,j,k): (a3, p0, p1, p2)} in basis-triple order, with
     p0 = A0, p1 = A1 - N p0 and p2 = A2 - N p1 = [e_i,e_j,e_k]_N (see
@@ -61,8 +62,8 @@ def telescoped_brackets(system, N):
     identity reads a3 = N p2.  All four are zero, and not computed, on a
     triple where every A_d is.
     """
-    n = system.dim
-    A0, A1, A2, A3 = graded_brackets(system, N)
+    n = len(N)
+    A0, A1, A2, A3 = graded_brackets(T, N)
     zero = vzero(n)
     out = dict.fromkeys(itertools.product(range(n), repeat=3), (zero,) * 4)
     for t in A0.keys() | A1.keys() | A2.keys() | A3.keys():
@@ -90,9 +91,15 @@ def _defect_witnesses(N, parts):
 
 
 def nijenhuis_defect(system, N):
-    """Nonzero witnesses of [Nx,Ny,Nz] - N([x,y,z]_N) over basis triples."""
-    N = as_matrix(N, system.dim, system.dim, "operator")
-    return _defect_witnesses(N, telescoped_brackets(system, N))
+    """Nonzero witnesses of [Nx,Ny,Nz] - N([x,y,z]_N) over basis triples.
+
+    It runs on integers, the table times dT and N times dN
+    (``integer_scaled``), so both sides are divided back by dT * dN**3.
+    """
+    dT, T = integer_scaled(system.table)
+    dN, N = integer_scaled(as_matrix(N, system.dim, system.dim, "operator"))
+    return [(t, vdiv(a, dT * dN ** 3), vdiv(b, dT * dN ** 3))
+            for t, a, b in _defect_witnesses(N, telescoped_brackets(T, N))]
 
 
 def is_nijenhuis(system, N):
@@ -116,7 +123,7 @@ def check_rb_family(system, R, identity, weight):
     side in ``_RB_RHS``, skipping triples where every A_d is zero."""
     R = as_matrix(R, system.dim, system.dim, "operator")
     rhs = _RB_RHS[identity]
-    A0, A1, A2, A3 = graded_brackets(system, R)
+    A0, A1, A2, A3 = graded_brackets(system.table, R)
     zero = vzero(system.dim)
     return identity_report(identity, (
         (t, A3.get(t, zero), rhs(R, weight, A2.get(t, zero),
@@ -157,7 +164,7 @@ def induced_bracket(system, N):
     verdict is the conjunction of the two.
     """
     N = as_matrix(N, system.dim, system.dim, "operator")
-    parts = telescoped_brackets(system, N)
+    parts = telescoped_brackets(system.table, N)
     deformed = LieTripleSystem(system.dim,
                                {t: p2 for t, (_, _, _, p2) in parts.items()})
     nij = identity_report("nijenhuis", _defect_witnesses(N, parts))
@@ -177,7 +184,7 @@ def is_morphism(source, target, N):
     """Whether N maps source brackets to target brackets: N[x,y,z]_s = [Nx,Ny,Nz]_t."""
     n = source.dim
     N = as_matrix(N, n, n, "operator")
-    image = graded_brackets(target, N)[3]
+    image = graded_brackets(target.table, N)[3]
     zero = vzero(target.dim)
     return identity_report("morphism", (
         (t, matvec(N, source.coeff(*t)), image.get(t, zero))
@@ -296,7 +303,7 @@ def _defect_polynomials(system):
     n = system.dim
     N = tuple(tuple(_Poly({(r * n + c,): 1}) for c in range(n))
               for r in range(n))
-    return [d for a3, _, _, p2 in telescoped_brackets(system, N).values()
+    return [d for a3, _, _, p2 in telescoped_brackets(system.table, N).values()
             for d in vsub(a3, matvec(N, p2)) if d]
 
 

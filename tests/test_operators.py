@@ -350,6 +350,56 @@ def test_identity_checks_match_reference(case):
     assert {t: deformed.coeff(*t) for t in expected} == expected
 
 
+@st.composite
+def rational_system_and_operator(draw):
+    """A stock system times a scalar plus a perturbation at one key (kept
+    antisymmetric or not), and an operator; all integer when integral."""
+    name = draw(st.sampled_from(sorted(DIFF_SYSTEMS)))
+    system = DIFF_SYSTEMS[name][0]()
+    n = system.dim
+    integral = draw(st.booleans())
+    entries = st.integers(-3, 3) if integral else scalar
+    scale = draw(st.sampled_from((1, -2) if integral else (
+        Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))))
+    table = {t: tuple(scale * x for x in w) for t, w in system.table.items()}
+    i, j, k = draw(st.tuples(*[st.integers(0, n - 1)] * 3))
+    bump = tuple(draw(entries) for _ in range(n))
+    keys = [(i, j, k)] + ([(j, i, k)] if i != j and draw(st.booleans()) else [])
+    for sign, t in zip((1, -1), keys):
+        table[t] = tuple(a + sign * b for a, b in zip(
+            table.get(t, (0,) * n), bump))
+    N = tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
+    return LieTripleSystem(n, table), N, integral
+
+
+@given(rational_system_and_operator())
+@settings(max_examples=30, deadline=None)
+def test_scaled_checks_match_reference(case):
+    # check_lts and nijenhuis_defect clear denominators; verdicts and
+    # witness values are the oracle's, and integer inputs give int entries
+    system, N, integral = case
+    n = system.dim
+    br = {t: system.coeff(*t) for t in itertools.product(range(n), repeat=3)}
+    report = check_lts(system)
+    symmetry = ref.symmetry_witnesses(system.table, n, n, 3)
+    # the oracle's five-term pass costs n^5 bracket expansions: not on l2+l2
+    five = ref.five_term_defect(n, br) if n < 4 else None
+    got = [(v["axiom"], v["at"], v["value"]) for v in report.violations
+           if v["axiom"] != "five-term"]
+    assert got == sorted(symmetry, key=lambda w: w[0])
+    if five is not None:
+        assert report.ok == (not symmetry and not five)
+        assert [(v["at"], v["lhs"], v["rhs"]) for v in report.violations
+                if v["axiom"] == "five-term"] == five
+    defect = nijenhuis_defect(system, N)
+    assert defect == ref.nijenhuis_defect(n, br, N)
+    if integral:
+        values = [x for v in report.violations
+                  for key in ("value", "lhs", "rhs") for x in v.get(key, ())]
+        values += [x for _, lhs, rhs in defect for x in lhs + rhs]
+        assert all(type(x) is int for x in values)
+
+
 def test_integer_witnesses_keep_integer_entries():
     system = direct_sum(l2(), l2())
     n, br = DIFF_SYSTEMS["l2+l2"][1]()
